@@ -20,6 +20,17 @@ cargo fmt --all --check
 echo "== clippy (-D warnings, perf lints) =="
 cargo clippy --offline --workspace --all-targets -- -D warnings -W clippy::perf
 
+# API docs: an intra-doc link to a renamed or removed item fails here.
+echo "== rustdoc (broken intra-doc links denied) =="
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --no-deps --offline --workspace
+
+# The repository benchmark lives outside the workspace (perfbench/ is a
+# workspace of its own), so the workspace build above never compiles
+# it: an API change that breaks the benchmark must fail here.
+echo "== perfbench (build + tests) =="
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
 # Golden-reference verification (DESIGN.md §11): oracle/differential/
 # snapshot suites, then an explicit snapshot drift check — a solver
 # change that moves committed waveforms must re-bless them (--bless)

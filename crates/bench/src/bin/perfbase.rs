@@ -48,7 +48,7 @@ use nemscmos::gates::{DynamicOrGate, DynamicOrParams, PdnStyle};
 use nemscmos::gen::{DominoTreeGen, GenDeck, SramArrayGen};
 use nemscmos::tech::Technology;
 use nemscmos_bench::cli::Cli;
-use nemscmos_harness::Json;
+use nemscmos_harness::{Json, JsonCodec};
 use nemscmos_numeric::sparse::{min_degree, CscMatrix, SparseLu};
 use nemscmos_spice::analysis::probe::dc_jacobian;
 use nemscmos_spice::analysis::tran::{transient, TranOptions};
@@ -160,26 +160,11 @@ impl Measurement {
     fn to_json(&self) -> Json {
         let ms = |s: &[f64], k: usize| Json::Num(s[k.min(s.len() - 1)] * 1e3);
         let counters = |st: &SolverStats| {
-            Json::Obj(vec![
-                ("newton".into(), Json::Int(st.newton_iterations as i64)),
-                ("lu".into(), Json::Int(st.lu_factorizations as i64)),
-                ("slot_hits".into(), Json::Int(st.slot_cache_hits as i64)),
-                ("sym_reuse".into(), Json::Int(st.symbolic_reuses as i64)),
-                ("refac_fb".into(), Json::Int(st.refactor_fallbacks as i64)),
-                ("bypass".into(), Json::Int(st.bypass_solves as i64)),
-                ("batched".into(), Json::Int(st.batched_evals as i64)),
-                ("eval_ms".into(), Json::Num(st.device_eval_ns as f64 * 1e-6)),
-                (
-                    "solve_ms".into(),
-                    Json::Num(st.linear_solve_ns as f64 * 1e-6),
-                ),
-                ("eval_share".into(), Json::Num(eval_share(st))),
-                ("fill_nnz".into(), Json::Int(st.fill_nnz as i64)),
-                (
-                    "ordering_ms".into(),
-                    Json::Num(st.ordering_ns as f64 * 1e-6),
-                ),
-            ])
+            let Json::Obj(mut fields) = st.to_json() else {
+                unreachable!("SolverStats encodes as an object")
+            };
+            fields.push(("eval_share".into(), Json::Num(eval_share(st))));
+            Json::Obj(fields)
         };
         Json::Obj(vec![
             ("name".into(), Json::Str(self.name.clone())),
@@ -343,12 +328,7 @@ impl ScalingPoint {
         ];
         if let Some((secs, st)) = &self.tran {
             fields.push(("tran_s".into(), Json::Num(*secs)));
-            fields.push(("tran_newton".into(), Json::Int(st.newton_iterations as i64)));
-            fields.push(("tran_fill_nnz".into(), Json::Int(st.fill_nnz as i64)));
-            fields.push((
-                "tran_ordering_ms".into(),
-                Json::Num(st.ordering_ns as f64 * 1e-6),
-            ));
+            fields.push(("tran_counters".into(), st.to_json()));
         }
         Json::Obj(fields)
     }
@@ -531,7 +511,7 @@ fn run_scaling(smoke: bool, out: &str) -> ExitCode {
 
     let doc = Json::Obj(vec![
         ("bench".into(), Json::Str("perfbase".into())),
-        ("version".into(), Json::Int(3)),
+        ("version".into(), Json::Int(4)),
         ("mode".into(), Json::Str("scaling".into())),
         (
             "points".into(),
@@ -610,7 +590,7 @@ fn main() -> ExitCode {
 
     let doc = Json::Obj(vec![
         ("bench".into(), Json::Str("perfbase".into())),
-        ("version".into(), Json::Int(3)),
+        ("version".into(), Json::Int(4)),
         ("iters".into(), Json::Int(iters as i64)),
         (
             "decks".into(),

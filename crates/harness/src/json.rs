@@ -25,7 +25,7 @@
 //! ```
 
 use nemscmos_numeric::stats::Summary;
-use nemscmos_spice::stats::SolverStats;
+use nemscmos_spice::stats::{Counter, SolverStats};
 
 /// A JSON value. Object keys keep insertion order (stable serialization
 /// for content addressing).
@@ -441,46 +441,24 @@ impl JsonCodec for Summary {
 
 impl JsonCodec for SolverStats {
     fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("newton".into(), self.newton_iterations.to_json()),
-            ("lu".into(), self.lu_factorizations.to_json()),
-            ("rejected".into(), self.step_rejections.to_json()),
-            ("accepted".into(), self.steps_accepted.to_json()),
-            ("nonconv".into(), self.nonconvergence_events.to_json()),
-            ("slot_hits".into(), self.slot_cache_hits.to_json()),
-            ("sym_reuse".into(), self.symbolic_reuses.to_json()),
-            ("refac_fb".into(), self.refactor_fallbacks.to_json()),
-            ("bypass".into(), self.bypass_solves.to_json()),
-            ("batched".into(), self.batched_evals.to_json()),
-            ("eval_ns".into(), self.device_eval_ns.to_json()),
-            ("solve_ns".into(), self.linear_solve_ns.to_json()),
-            ("fill_nnz".into(), self.fill_nnz.to_json()),
-            ("ordering_ns".into(), self.ordering_ns.to_json()),
-        ])
+        Json::Obj(
+            self.iter()
+                .map(|(counter, n)| (counter.key().into(), n.to_json()))
+                .collect(),
+        )
     }
     fn from_json(v: &Json) -> Option<SolverStats> {
-        // The fast-path counters default to zero so cache entries written
-        // before they existed still decode.
-        let opt = |key: &str| match v.get(key) {
-            Some(x) => u64::from_json(x),
-            None => Some(0),
-        };
-        Some(SolverStats {
-            newton_iterations: u64::from_json(v.get("newton")?)?,
-            lu_factorizations: u64::from_json(v.get("lu")?)?,
-            step_rejections: u64::from_json(v.get("rejected")?)?,
-            steps_accepted: u64::from_json(v.get("accepted")?)?,
-            nonconvergence_events: u64::from_json(v.get("nonconv")?)?,
-            slot_cache_hits: opt("slot_hits")?,
-            symbolic_reuses: opt("sym_reuse")?,
-            refactor_fallbacks: opt("refac_fb")?,
-            bypass_solves: opt("bypass")?,
-            batched_evals: opt("batched")?,
-            device_eval_ns: opt("eval_ns")?,
-            linear_solve_ns: opt("solve_ns")?,
-            fill_nnz: opt("fill_nnz")?,
-            ordering_ns: opt("ordering_ns")?,
-        })
+        let mut stats = SolverStats::ZERO;
+        for counter in Counter::ALL {
+            *stats.get_mut(counter) = match v.get(counter.key()) {
+                Some(x) => u64::from_json(x)?,
+                None if counter.is_required() => return None,
+                // Cache entries written before an optional counter
+                // existed decode with it at zero.
+                None => 0,
+            };
+        }
+        Some(stats)
     }
 }
 
@@ -587,30 +565,6 @@ mod tests {
         };
         assert_eq!(Summary::from_json(&s.to_json()), Some(s));
 
-        let st = SolverStats {
-            newton_iterations: 12,
-            lu_factorizations: 12,
-            step_rejections: 1,
-            steps_accepted: 40,
-            nonconvergence_events: 0,
-            slot_cache_hits: 7,
-            symbolic_reuses: 6,
-            refactor_fallbacks: 1,
-            bypass_solves: 3,
-            batched_evals: 9,
-            device_eval_ns: 123_456,
-            linear_solve_ns: 654_321,
-            fill_nnz: 2_048,
-            ordering_ns: 77,
-        };
-        assert_eq!(SolverStats::from_json(&st.to_json()), Some(st));
-
-        // Counters serialize as bare integers, not floats.
-        let rendered = st.to_json().render();
-        assert!(rendered.contains("\"newton\":12"), "{rendered}");
-        assert!(rendered.contains("\"fill_nnz\":2048"), "{rendered}");
-        assert!(!rendered.contains(".0"), "{rendered}");
-
         // The float form written by older builds still decodes.
         let float_form = Json::parse(
             r#"{"newton":12.0,"lu":12.0,"rejected":1.0,"accepted":40.0,"nonconv":0.0}"#,
@@ -646,6 +600,71 @@ mod tests {
         assert_eq!(decoded.linear_solve_ns, 0);
         assert_eq!(decoded.fill_nnz, 0);
         assert_eq!(decoded.ordering_ns, 0);
+    }
+
+    #[test]
+    fn solver_stats_codec_covers_every_counter() {
+        // A distinct value per counter round-trips, as a bare integer.
+        let st = SolverStats::from_fn(|c| 1_000 + 37 * c as u64);
+        let encoded = st.to_json();
+        assert_eq!(SolverStats::from_json(&encoded), Some(st));
+        let Json::Obj(pairs) = &encoded else {
+            panic!("SolverStats encodes as an object")
+        };
+        assert_eq!(pairs.len(), Counter::COUNT);
+        for ((key, v), counter) in pairs.iter().zip(Counter::ALL) {
+            assert_eq!(key, counter.key());
+            assert_eq!(*v, Json::Int(st.get(counter) as i64));
+        }
+
+        // Removing a key: optional counters decode as zero, required
+        // ones make the whole entry a cache miss.
+        for counter in Counter::ALL {
+            let pruned = Json::Obj(
+                pairs
+                    .iter()
+                    .filter(|(k, _)| k != counter.key())
+                    .cloned()
+                    .collect(),
+            );
+            let decoded = SolverStats::from_json(&pruned);
+            if counter.is_required() {
+                assert_eq!(decoded, None, "{counter:?}");
+            } else {
+                let mut expect = st;
+                *expect.get_mut(counter) = 0;
+                assert_eq!(decoded, Some(expect), "{counter:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn solver_stats_encoding_keeps_its_original_prefix() {
+        // The first fourteen counters render exactly as before the
+        // counter table existed; later rows append after them.
+        let st = SolverStats {
+            newton_iterations: 12,
+            lu_factorizations: 12,
+            step_rejections: 1,
+            steps_accepted: 40,
+            nonconvergence_events: 0,
+            slot_cache_hits: 7,
+            symbolic_reuses: 6,
+            refactor_fallbacks: 1,
+            bypass_solves: 3,
+            batched_evals: 9,
+            device_eval_ns: 123_456,
+            linear_solve_ns: 654_321,
+            fill_nnz: 2_048,
+            ordering_ns: 77,
+            ..Default::default()
+        };
+        let rendered = st.to_json().render();
+        let original = r#"{"newton":12,"lu":12,"rejected":1,"accepted":40,"nonconv":0,"slot_hits":7,"sym_reuse":6,"refac_fb":1,"bypass":3,"batched":9,"eval_ns":123456,"solve_ns":654321,"fill_nnz":2048,"ordering_ns":77"#;
+        let rest = rendered
+            .strip_prefix(original)
+            .unwrap_or_else(|| panic!("{rendered}"));
+        assert!(rest == "}" || rest.starts_with(','), "{rendered}");
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! more `heartbeat` progress lines, then exactly one terminal line —
 //! `done`, `failed`, or `shed`.
 
-use nemscmos_harness::Json;
+use nemscmos_harness::{Json, JsonCodec};
 
 /// A client → server message.
 #[derive(Debug, Clone, PartialEq)]
@@ -268,8 +268,8 @@ impl Response {
             } => vec![
                 ("resp".into(), Json::Str("heartbeat".into())),
                 ("digest".into(), Json::Str(digest.clone())),
-                ("newton".into(), Json::Num(*newton as f64)),
-                ("progress".into(), Json::Num(*progress as f64)),
+                ("newton".into(), newton.to_json()),
+                ("progress".into(), progress.to_json()),
             ],
             Response::Done {
                 digest,
@@ -309,8 +309,8 @@ impl Response {
             ],
             Response::Draining { queued, running } => vec![
                 ("resp".into(), Json::Str("draining".into())),
-                ("queued".into(), Json::Num(*queued as f64)),
-                ("running".into(), Json::Num(*running as f64)),
+                ("queued".into(), queued.to_json()),
+                ("running".into(), running.to_json()),
             ],
         };
         Json::Obj(obj).render()
@@ -334,10 +334,15 @@ impl Response {
                 .ok_or(format!("{resp}: missing string field `{key}`"))
         };
         let num_field = |key: &str| -> Result<u64, String> {
-            v.get(key)
-                .and_then(Json::as_f64)
-                .map(|n| n as u64)
-                .ok_or(format!("{resp}: missing number field `{key}`"))
+            let n = v
+                .get(key)
+                .ok_or_else(|| format!("{resp}: missing count field `{key}`"))?;
+            u64::from_json(n).ok_or_else(|| {
+                format!(
+                    "{resp}: `{key}` must be a non-negative integer, got {}",
+                    n.render()
+                )
+            })
         };
         let bool_field = |key: &str| -> Result<bool, String> {
             v.get(key)
@@ -501,6 +506,36 @@ mod tests {
         for resp in all {
             let line = resp.render();
             assert_eq!(Response::parse(&line).unwrap(), resp, "{line}");
+        }
+    }
+
+    #[test]
+    fn counts_are_integers() {
+        // Counts render as bare integers and round-trip in that form.
+        let hb = Response::Heartbeat {
+            digest: "abc".into(),
+            newton: 120,
+            progress: 12,
+        };
+        let line = hb.render();
+        assert!(line.contains(r#""newton":120,"progress":12"#), "{line}");
+        let drain = Response::Draining {
+            queued: 2,
+            running: 1,
+        };
+        let line = drain.render();
+        assert!(line.contains(r#""queued":2,"running":1"#), "{line}");
+        assert_eq!(Response::parse(&line).unwrap(), drain);
+        // Negative and fractional counts are refused, not coerced.
+        for bad in [
+            r#"{"resp":"draining","queued":-3,"running":0}"#,
+            r#"{"resp":"draining","queued":2.5,"running":0}"#,
+            r#"{"resp":"draining","queued":"2","running":0}"#,
+            r#"{"resp":"heartbeat","digest":"d","newton":-1,"progress":0}"#,
+            r#"{"resp":"heartbeat","digest":"d","newton":1,"progress":0.5}"#,
+        ] {
+            let err = Response::parse(bad).unwrap_err();
+            assert!(err.contains("non-negative integer"), "{bad}: {err}");
         }
     }
 

@@ -38,8 +38,8 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use nemscmos_harness::{
-    content_digest, run_with_retries, spec_seed, Cache, HarnessError, Journal, Json, RetryPolicy,
-    Supervision, Watchdog,
+    content_digest, run_with_retries, spec_seed, Cache, HarnessError, Journal, Json, JsonCodec,
+    RetryPolicy, Supervision, Watchdog,
 };
 use nemscmos_spice::budget::{self, InterruptFlag};
 use nemscmos_spice::stats::{self, Heartbeat};
@@ -358,7 +358,7 @@ impl Shared {
     /// durability totals.
     fn health_json(&self) -> Json {
         let (queue_depth, running, draining, clients, c) = self.admission.snapshot();
-        let n = |v: u64| Json::Num(v as f64);
+        let n = |v: u64| v.to_json();
         Json::Obj(vec![
             ("queue_depth".into(), n(queue_depth)),
             ("running".into(), n(running)),

@@ -10,6 +10,7 @@ use crate::device::{EvalBatch, LoadContext, Mode, Solution};
 use crate::element::{Element, NodeId};
 use crate::faults::FaultKind;
 use crate::stamp::{JacobianKey, StampSection, Stamper};
+use crate::stats::{count, Counter};
 use crate::{Result, SpiceError};
 
 /// Linear-algebra state carried across Newton solves and timesteps.
@@ -372,7 +373,7 @@ fn assemble(
                         None => dev.load(&sol, ctx, st),
                     }
                 }
-                crate::stats::count_batched_eval();
+                count(Counter::BatchedEvals, 1);
             }
             None => {
                 for (i, dev) in devices.iter().enumerate() {
@@ -381,7 +382,10 @@ fn assemble(
                 }
             }
         }
-        crate::stats::count_device_eval_ns(eval_start.elapsed().as_nanos() as u64);
+        count(
+            Counter::DeviceEvalNs,
+            eval_start.elapsed().as_nanos() as u64,
+        );
     }
     st.set_section(StampSection::Solver);
     st.gmin_shunts(ctx.gmin, ckt.num_node_unknowns(), x);
@@ -441,7 +445,7 @@ fn kcl_audit(
                 },
             );
     if residual > tol {
-        crate::stats::count_nonconvergence();
+        count(Counter::NonconvergenceEvents, 1);
         return Err(SpiceError::KclViolation {
             node: crate::guard::unknown_name(ckt, worst),
             residual,
@@ -501,7 +505,7 @@ pub(crate) fn newton_solve(
         // typed interrupt error if a deadline, cap, or cancellation
         // tripped. Inert unless a budget scope is installed.
         if let Err(e) = crate::budget::poll(ctx.time(), solver.iterations() as u64) {
-            crate::stats::count_newton_iterations(solver.iterations() as u64);
+            count(Counter::NewtonIterations, solver.iterations() as u64);
             return Err(e);
         }
         assemble(ckt, x, ctx, st, scratch, lin, ic_clamps)?;
@@ -526,25 +530,28 @@ pub(crate) fn newton_solve(
         // the solve with device and node attribution instead of reaching
         // the factorization.
         if let Some(note) = st.non_finite() {
-            crate::stats::count_newton_iterations(solver.iterations() as u64);
-            crate::stats::count_nonconvergence();
+            count(Counter::NewtonIterations, solver.iterations() as u64);
+            count(Counter::NonconvergenceEvents, 1);
             return Err(crate::guard::non_finite_error(ckt, note, ctx.time()));
         }
 
         let solve_start = Instant::now();
         let solved = st.solve_with_key(key);
-        crate::stats::count_linear_solve_ns(solve_start.elapsed().as_nanos() as u64);
+        count(
+            Counter::LinearSolveNs,
+            solve_start.elapsed().as_nanos() as u64,
+        );
         let dx = match solved {
             Ok(dx) => dx,
             Err(e) => {
-                crate::stats::count_newton_iterations(solver.iterations() as u64);
-                crate::stats::count_nonconvergence();
+                count(Counter::NewtonIterations, solver.iterations() as u64);
+                count(Counter::NonconvergenceEvents, 1);
                 return Err(attribute_singular(ckt, e, ctx.time()));
             }
         };
         if !dx.iter().all(|v| v.is_finite()) {
-            crate::stats::count_newton_iterations(solver.iterations() as u64);
-            crate::stats::count_nonconvergence();
+            count(Counter::NewtonIterations, solver.iterations() as u64);
+            count(Counter::NonconvergenceEvents, 1);
             return Err(SpiceError::NoConvergence {
                 analysis: "newton",
                 time: ctx.time(),
@@ -553,19 +560,19 @@ pub(crate) fn newton_solve(
         }
         match solver.apply_step(x, &dx) {
             NewtonStatus::Converged => {
-                crate::stats::count_newton_iterations(solver.iterations() as u64);
+                count(Counter::NewtonIterations, solver.iterations() as u64);
                 kcl_audit(ckt, x, ctx, st, scratch, lin, ic_clamps)?;
                 return Ok(solver.iterations());
             }
             NewtonStatus::Interrupted(kind) => {
                 let pending = solver.iterations() as u64;
-                crate::stats::count_newton_iterations(pending);
+                count(Counter::NewtonIterations, pending);
                 return Err(crate::budget::interrupted(kind, ctx.time(), 0));
             }
             NewtonStatus::Continue => {
                 if solver.exhausted() {
-                    crate::stats::count_newton_iterations(solver.iterations() as u64);
-                    crate::stats::count_nonconvergence();
+                    count(Counter::NewtonIterations, solver.iterations() as u64);
+                    count(Counter::NonconvergenceEvents, 1);
                     return Err(SpiceError::NoConvergence {
                         analysis: "newton",
                         time: ctx.time(),

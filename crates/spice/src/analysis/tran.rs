@@ -8,6 +8,7 @@ use crate::circuit::Circuit;
 use crate::device::{LoadContext, Mode, Solution};
 use crate::element::Element;
 use crate::result::TranResult;
+use crate::stats::{count, Counter};
 use crate::{Result, SpiceError};
 
 /// Time-integration method for the bulk of the transient.
@@ -249,7 +250,7 @@ pub fn transient(ckt: &mut Circuit, tstop: f64, opts: &TranOptions) -> Result<Tr
             Err(e) if e.is_interrupt() => return Err(e),
             Err(e) => {
                 // Shrink and retry.
-                crate::stats::count_step_rejection();
+                count(Counter::StepRejections, 1);
                 last_err = Some(e);
                 dt = dt_step / 8.0;
                 force_be = true;
@@ -260,7 +261,7 @@ pub fn transient(ckt: &mut Circuit, tstop: f64, opts: &TranOptions) -> Result<Tr
         // Fault injection: a timestep-rejection storm discards steps that
         // converged cleanly, driving the controller toward underflow.
         if crate::faults::step_fault() {
-            crate::stats::count_step_rejection();
+            count(Counter::StepRejections, 1);
             dt = dt_step / 8.0;
             force_be = true;
             continue;
@@ -278,13 +279,13 @@ pub fn transient(ckt: &mut Circuit, tstop: f64, opts: &TranOptions) -> Result<Tr
             }
         }
         if err > 8.0 * opts.lte_tol && dt_step > 4.0 * dt_min && !hit_bp {
-            crate::stats::count_step_rejection();
+            count(Counter::StepRejections, 1);
             dt = dt_step * 0.5;
             continue;
         }
 
         // Accept the step.
-        crate::stats::count_step_accepted();
+        count(Counter::StepsAccepted, 1);
         crate::budget::pulse_accepted_step(t_new);
         let sol = Solution::new(&x_try);
         let mut state_changed = false;

@@ -495,7 +495,7 @@ mod tests {
     fn heartbeat_is_published_on_poll() {
         let hb = Arc::new(Heartbeat::new());
         with(Budget::unbounded().with_heartbeat(Arc::clone(&hb)), || {
-            stats::count_newton_iterations(7);
+            stats::count(stats::Counter::NewtonIterations, 7);
             assert!(poll(0.0, 2).is_ok());
             pulse_accepted_step(3e-9);
             pulse_solve_done();

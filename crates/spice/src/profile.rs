@@ -55,17 +55,14 @@ pub struct SolveProfile {
     /// differential testing pins this to prove the batched path bitwise
     /// identical, and `perfbase` uses it for the baseline measurement.
     pub scalar_device_eval: bool,
-    /// Disable the fill-reducing column ordering in the sparse LU and
-    /// factor in natural (stamp) order — the pre-ordering code path
-    /// verbatim. Mirrors `legacy_linear_algebra`/`scalar_device_eval`:
-    /// the `ordered_vs_natural` differential pins this side to prove the
-    /// ordered path solution-equivalent.
-    pub natural_ordering: bool,
     /// Override the unknown-count threshold at or above which the sparse
     /// backend computes a fill-reducing column ordering (default
     /// `stamp::ORDERING_LIMIT`). `Some(0)` forces the ordering for every
     /// sparse system — differential testing uses this to exercise the
     /// ordered path on decks smaller than the default threshold.
+    /// `Some(usize::MAX)` disables it and factors in natural (stamp)
+    /// order, the pre-ordering code path verbatim — the reference side of
+    /// the `ordered_vs_natural` differential.
     pub ordering_limit: Option<usize>,
 }
 
@@ -101,7 +98,6 @@ thread_local! {
         matrix_backend: None,
         legacy_linear_algebra: false,
         scalar_device_eval: false,
-        natural_ordering: false,
         ordering_limit: None,
     }) };
 }

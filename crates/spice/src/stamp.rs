@@ -43,6 +43,7 @@ use nemscmos_numeric::sparse::{CscMatrix, SparseLu, Triplet};
 
 use crate::element::NodeId;
 use crate::profile::{self, MatrixBackend};
+use crate::stats::{count, Counter};
 use crate::Result;
 
 /// Below this number of unknowns the dense path is used.
@@ -217,16 +218,13 @@ impl Stamper {
 
     /// The size-or-profile ordering decision for `n` unknowns: whether
     /// sparse factorizations should use a fill-reducing column order.
-    /// Natural order is pinned by `SolveProfile::natural_ordering` (and
-    /// implied by `legacy_linear_algebra`, which predates the ordering);
-    /// the engagement threshold defaults to [`ORDERING_LIMIT`] and can be
-    /// overridden through `SolveProfile::ordering_limit`.
+    /// The engagement threshold defaults to [`ORDERING_LIMIT`] and can be
+    /// overridden through `SolveProfile::ordering_limit` (`usize::MAX`
+    /// pins natural order); `legacy_linear_algebra`, which predates the
+    /// ordering, implies natural order.
     pub(crate) fn want_ordered(n: usize) -> bool {
         let p = profile::current();
-        if p.legacy_linear_algebra || p.natural_ordering {
-            return false;
-        }
-        n >= p.ordering_limit.unwrap_or(ORDERING_LIMIT)
+        !p.legacy_linear_algebra && n >= p.ordering_limit.unwrap_or(ORDERING_LIMIT)
     }
 
     /// True when this assembler replays the pre-fast-path behavior.
@@ -352,6 +350,7 @@ impl Stamper {
                 return;
             }
         };
+        count(Counter::Thaws, 1);
         let mut t = Triplet::with_capacity(self.n, self.n, fz.coords.len().max(self.n * 8));
         for k in 0..fz.cursor {
             if fz.first[k] {
@@ -517,7 +516,7 @@ impl Stamper {
         match &mut self.backend {
             Backend::Dense(m) => {
                 if self.legacy {
-                    crate::stats::count_lu_factorization();
+                    count(Counter::LuFactorizations, 1);
                     let lu = DenseLu::factor(m.clone())?;
                     return Ok(lu.solve(&self.neg_f)?);
                 }
@@ -526,10 +525,10 @@ impl Stamper {
                     .as_ref()
                     .filter(|_| key.is_some() && key == self.factor_key)
                 {
-                    crate::stats::count_bypass_solve();
+                    count(Counter::BypassSolves, 1);
                     return Ok(lu.solve(&self.neg_f)?);
                 }
-                crate::stats::count_lu_factorization();
+                count(Counter::LuFactorizations, 1);
                 self.factor_key = None;
                 match self.dense_lu.as_mut() {
                     Some(lu) => {
@@ -547,7 +546,8 @@ impl Stamper {
             Backend::Sparse(t) => {
                 // Legacy, or the one hybrid solve right after a thaw:
                 // compress and factor from scratch, then re-arm freezing.
-                crate::stats::count_lu_factorization();
+                count(Counter::LuFactorizations, 1);
+                count(Counter::TripletFactorizations, 1);
                 if !self.legacy {
                     self.freeze_armed = true;
                 }
@@ -556,30 +556,30 @@ impl Stamper {
             }
             Backend::Frozen(fz) => {
                 if fz.via_slots {
-                    crate::stats::count_slot_cache_hit();
+                    count(Counter::SlotCacheHits, 1);
                 }
                 if let Some(lu) = self
                     .sparse_lu
                     .as_ref()
                     .filter(|_| key.is_some() && key == self.factor_key)
                 {
-                    crate::stats::count_bypass_solve();
+                    count(Counter::BypassSolves, 1);
                     return Ok(lu.solve(&self.neg_f)?);
                 }
-                crate::stats::count_lu_factorization();
+                count(Counter::LuFactorizations, 1);
                 self.factor_key = None;
                 let mut reused = false;
                 if let Some(lu) = self.sparse_lu.as_mut() {
                     match lu.refactor(&fz.csc) {
                         Ok(()) => {
-                            crate::stats::count_symbolic_reuse();
+                            count(Counter::SymbolicReuses, 1);
                             reused = true;
                         }
                         Err(_reject) => {
                             // Guard fired (pivot drift, fill drift, small
                             // pivot): discard the partially overwritten
                             // factors and factor afresh below.
-                            crate::stats::count_refactor_fallback();
+                            count(Counter::RefactorFallbacks, 1);
                             self.sparse_lu = None;
                         }
                     }
@@ -593,7 +593,7 @@ impl Stamper {
                             // for).
                             let t0 = std::time::Instant::now();
                             let q = nemscmos_numeric::sparse::min_degree(&fz.csc);
-                            crate::stats::count_ordering_ns(t0.elapsed().as_nanos() as u64);
+                            count(Counter::OrderingNs, t0.elapsed().as_nanos() as u64);
                             self.col_order = Some(q);
                         }
                         let q = self.col_order.as_ref().unwrap();
@@ -601,7 +601,7 @@ impl Stamper {
                     } else {
                         SparseLu::factor_symbolic(&fz.csc)?
                     };
-                    crate::stats::count_fill_nnz(lu.factor_nnz() as u64);
+                    count(Counter::FillNnz, lu.factor_nnz() as u64);
                     self.sparse_lu = Some(lu);
                 }
                 self.factor_key = key;
@@ -787,9 +787,9 @@ mod tests {
         use crate::profile::{self, SolveProfile};
         assert!(!Stamper::new(ORDERING_LIMIT - 1).is_ordered());
         assert!(Stamper::new(ORDERING_LIMIT).is_ordered());
-        // The escape hatch pins natural order at any size.
+        // An unreachable threshold pins natural order at any size.
         let natural = SolveProfile {
-            natural_ordering: true,
+            ordering_limit: Some(usize::MAX),
             ..Default::default()
         };
         profile::with(natural, || {
@@ -836,8 +836,7 @@ mod tests {
         let run = |ordered: bool| -> Vec<f64> {
             let prof = SolveProfile {
                 matrix_backend: Some(MatrixBackend::Sparse),
-                ordering_limit: ordered.then_some(0),
-                natural_ordering: !ordered,
+                ordering_limit: Some(if ordered { 0 } else { usize::MAX }),
                 ..Default::default()
             };
             profile::with(prof, || {
@@ -863,6 +862,38 @@ mod tests {
                 "ordered {b} vs natural {a}"
             );
         }
+    }
+
+    #[test]
+    fn deviating_assembly_thaws_into_one_triplet_factorization() {
+        use crate::profile::{self, MatrixBackend, SolveProfile};
+        let n = 8;
+        let stamp = |st: &mut Stamper, deviate: bool| {
+            for r in 0..n {
+                st.j(r, r, 2.0);
+                st.f(r, -1.0);
+            }
+            if deviate {
+                st.j(0, n - 1, 0.5);
+            }
+        };
+        let sparse = SolveProfile {
+            matrix_backend: Some(MatrixBackend::Sparse),
+            ..Default::default()
+        };
+        profile::with(sparse, || {
+            let mut st = Stamper::new(n);
+            stamp(&mut st, false);
+            st.solve().unwrap(); // freezes the pattern
+            st.clear();
+            let (solved, spent) = crate::stats::measure(|| {
+                stamp(&mut st, true);
+                st.solve()
+            });
+            assert!(solved.is_ok());
+            assert_eq!(spent.thaws, 1);
+            assert_eq!(spent.triplet_factorizations, 1);
+        });
     }
 
     #[test]

@@ -7,6 +7,13 @@
 //! crate) attribute work to a job by taking a [`snapshot`] before and
 //! after it and diffing — there is no reset, so nested scopes compose.
 //!
+//! Each counter is declared once, as one row of the counter table below
+//! (field, [`Counter`] variant, wire key, whether decoding requires the
+//! key). [`SolverStats`], its arithmetic, the [`Heartbeat`] mirror and
+//! every encoder that walks [`SolverStats::iter`] follow from that row,
+//! so a new counter is one row plus one `count` call at its increment
+//! site.
+//!
 //! Counters are thread-local; when a caller fans work out to other
 //! threads it is responsible for summing the child deltas back into its
 //! own thread with [`add`] (the harness pool does this automatically).
@@ -26,32 +33,118 @@ use std::cell::Cell;
 use std::ops::{Add, AddAssign};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Cumulative solver-effort counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SolverStats {
+/// Generates [`SolverStats`] and [`Counter`] from the counter table
+/// below. Each row is the counter's doc, then
+/// `field: Variant = "wire key", required|optional;`.
+macro_rules! counter_table {
+    ($(
+        $(#[$doc:meta])*
+        $field:ident: $variant:ident = $key:literal, $decode:ident;
+    )+) => {
+        /// Cumulative solver-effort counters, one field per row of the
+        /// counter table.
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct SolverStats {
+            $( $(#[$doc])* pub $field: u64, )+
+        }
+
+        /// Names one [`SolverStats`] counter.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum Counter {
+            $( $(#[$doc])* $variant, )+
+        }
+
+        impl Counter {
+            /// Number of counters.
+            pub const COUNT: usize = [$(Counter::$variant),+].len();
+
+            /// Every counter, in table (and wire) order.
+            pub const ALL: [Counter; Counter::COUNT] = [$(Counter::$variant),+];
+
+            /// The counter's key in the JSON encoding.
+            pub const fn key(self) -> &'static str {
+                match self {
+                    $(Counter::$variant => $key,)+
+                }
+            }
+
+            /// Whether a decoded encoding must carry this key. Optional
+            /// keys were added after the first cache format and decode
+            /// as zero when absent.
+            pub const fn is_required(self) -> bool {
+                match self {
+                    $(Counter::$variant => counter_table!(@required $decode),)+
+                }
+            }
+        }
+
+        impl SolverStats {
+            /// Every counter at zero.
+            pub const ZERO: SolverStats = SolverStats { $($field: 0,)+ };
+
+            /// The value of one counter.
+            #[inline]
+            pub const fn get(&self, counter: Counter) -> u64 {
+                match counter {
+                    $(Counter::$variant => self.$field,)+
+                }
+            }
+
+            // `from_fn` and `iter` spell out every field rather than loop
+            // over `Counter::ALL`, so they compile to straight-line code:
+            // a budget poll runs `delta_since` and `Heartbeat::publish` on
+            // every Newton iteration.
+
+            /// Builds a value from one closure call per counter, in table
+            /// order.
+            #[inline]
+            pub fn from_fn(mut f: impl FnMut(Counter) -> u64) -> SolverStats {
+                SolverStats { $($field: f(Counter::$variant),)+ }
+            }
+
+            /// Every counter with its value, in table order.
+            #[inline]
+            pub fn iter(&self) -> impl Iterator<Item = (Counter, u64)> {
+                Counter::ALL.into_iter().zip([$(self.$field),+])
+            }
+
+            /// Mutable access to one counter.
+            #[inline]
+            pub fn get_mut(&mut self, counter: Counter) -> &mut u64 {
+                match counter {
+                    $(Counter::$variant => &mut self.$field,)+
+                }
+            }
+        }
+    };
+    (@required required) => { true };
+    (@required optional) => { false };
+}
+
+counter_table! {
     /// Newton iterations applied (converged or not).
-    pub newton_iterations: u64,
+    newton_iterations: NewtonIterations = "newton", required;
     /// Jacobian LU factorizations (one per Newton iteration that reaches
     /// the linear solve).
-    pub lu_factorizations: u64,
+    lu_factorizations: LuFactorizations = "lu", required;
     /// Transient steps rejected (Newton failure or LTE violation).
-    pub step_rejections: u64,
+    step_rejections: StepRejections = "rejected", required;
     /// Transient steps accepted.
-    pub steps_accepted: u64,
+    steps_accepted: StepsAccepted = "accepted", required;
     /// Newton solves that gave up (triggering fallbacks or job retries).
-    pub nonconvergence_events: u64,
+    nonconvergence_events: NonconvergenceEvents = "nonconv", required;
     /// Assemblies served by the pattern-frozen slot map (no per-iteration
     /// triplet sort/dedup/alloc).
-    pub slot_cache_hits: u64,
+    slot_cache_hits: SlotCacheHits = "slot_hits", optional;
     /// Sparse factorizations served by numeric-only refactorization over
     /// a recorded symbolic structure.
-    pub symbolic_reuses: u64,
+    symbolic_reuses: SymbolicReuses = "sym_reuse", optional;
     /// Numeric-only refactorizations rejected by the pivot monitor and
     /// redone as fresh fully-pivoted factorizations.
-    pub refactor_fallbacks: u64,
+    refactor_fallbacks: RefactorFallbacks = "refac_fb", optional;
     /// Linear-circuit solves that reused the previous factorization
     /// outright (RHS-only re-solve).
-    pub bypass_solves: u64,
+    bypass_solves: BypassSolves = "bypass", optional;
     /// Assemblies whose device loads went through the structure-of-arrays
     /// batched evaluation path (zero when the circuit has no batchable
     /// devices or [`SolveProfile::scalar_device_eval`] pins the scalar
@@ -59,73 +152,51 @@ pub struct SolverStats {
     ///
     /// [`SolveProfile::scalar_device_eval`]:
     ///     crate::profile::SolveProfile::scalar_device_eval
-    pub batched_evals: u64,
+    batched_evals: BatchedEvals = "batched", optional;
     /// Wall-clock nanoseconds spent loading devices during assembly
     /// (gather + model evaluation + Jacobian/residual scatter). Exactly
     /// zero for circuits without nonlinear devices.
-    pub device_eval_ns: u64,
+    device_eval_ns: DeviceEvalNs = "eval_ns", optional;
     /// Wall-clock nanoseconds spent in the linear solve (factorization,
     /// refactorization, or bypass back-substitution).
-    pub linear_solve_ns: u64,
+    linear_solve_ns: LinearSolveNs = "solve_ns", optional;
     /// Summed `nnz(L + U)` (diagonal included) over the fresh sparse
     /// symbolic factorizations of the fast path — the honest fill cost
     /// of the chosen column ordering. Refactorizations reuse the recorded
     /// pattern and do not re-count; the legacy and dense paths never
     /// count.
-    pub fill_nnz: u64,
+    fill_nnz: FillNnz = "fill_nnz", optional;
     /// Wall-clock nanoseconds spent computing fill-reducing column
     /// orderings (once per frozen pattern; zero when the ordering does
     /// not engage).
-    pub ordering_ns: u64,
+    ordering_ns: OrderingNs = "ordering_ns", optional;
+    /// Frozen sparse patterns converted back to triplet assembly because
+    /// an assembly deviated from (or stopped short of) the frozen push
+    /// sequence.
+    thaws: Thaws = "thaws", optional;
+    /// Sparse factorizations of a raw triplet assembly, in natural order
+    /// and without a fill count: every sparse solve of the legacy path,
+    /// and the one solve right after a thaw on the fast path.
+    triplet_factorizations: TripletFactorizations = "triplet_lu", optional;
 }
 
 impl SolverStats {
     /// Counters accumulated since `earlier` (which must be an older
     /// snapshot from the same thread, or a summed baseline).
     pub fn delta_since(&self, earlier: &SolverStats) -> SolverStats {
-        SolverStats {
-            newton_iterations: self.newton_iterations - earlier.newton_iterations,
-            lu_factorizations: self.lu_factorizations - earlier.lu_factorizations,
-            step_rejections: self.step_rejections - earlier.step_rejections,
-            steps_accepted: self.steps_accepted - earlier.steps_accepted,
-            nonconvergence_events: self.nonconvergence_events - earlier.nonconvergence_events,
-            slot_cache_hits: self.slot_cache_hits - earlier.slot_cache_hits,
-            symbolic_reuses: self.symbolic_reuses - earlier.symbolic_reuses,
-            refactor_fallbacks: self.refactor_fallbacks - earlier.refactor_fallbacks,
-            bypass_solves: self.bypass_solves - earlier.bypass_solves,
-            batched_evals: self.batched_evals - earlier.batched_evals,
-            device_eval_ns: self.device_eval_ns - earlier.device_eval_ns,
-            linear_solve_ns: self.linear_solve_ns - earlier.linear_solve_ns,
-            fill_nnz: self.fill_nnz - earlier.fill_nnz,
-            ordering_ns: self.ordering_ns - earlier.ordering_ns,
-        }
+        SolverStats::from_fn(|c| self.get(c) - earlier.get(c))
     }
 
     /// True if every counter is zero.
     pub fn is_zero(&self) -> bool {
-        *self == SolverStats::default()
+        *self == SolverStats::ZERO
     }
 }
 
 impl Add for SolverStats {
     type Output = SolverStats;
     fn add(self, rhs: SolverStats) -> SolverStats {
-        SolverStats {
-            newton_iterations: self.newton_iterations + rhs.newton_iterations,
-            lu_factorizations: self.lu_factorizations + rhs.lu_factorizations,
-            step_rejections: self.step_rejections + rhs.step_rejections,
-            steps_accepted: self.steps_accepted + rhs.steps_accepted,
-            nonconvergence_events: self.nonconvergence_events + rhs.nonconvergence_events,
-            slot_cache_hits: self.slot_cache_hits + rhs.slot_cache_hits,
-            symbolic_reuses: self.symbolic_reuses + rhs.symbolic_reuses,
-            refactor_fallbacks: self.refactor_fallbacks + rhs.refactor_fallbacks,
-            bypass_solves: self.bypass_solves + rhs.bypass_solves,
-            batched_evals: self.batched_evals + rhs.batched_evals,
-            device_eval_ns: self.device_eval_ns + rhs.device_eval_ns,
-            linear_solve_ns: self.linear_solve_ns + rhs.linear_solve_ns,
-            fill_nnz: self.fill_nnz + rhs.fill_nnz,
-            ordering_ns: self.ordering_ns + rhs.ordering_ns,
-        }
+        SolverStats::from_fn(|c| self.get(c) + rhs.get(c))
     }
 }
 
@@ -138,19 +209,16 @@ impl AddAssign for SolverStats {
 /// Cross-thread view of a running solve, for watchdog supervision.
 ///
 /// The thread-local counters above are invisible to other threads; a
-/// [`Heartbeat`] mirrors them (plus a coarse *progress* counter and the
-/// current simulation time) into shared atomics that an installed
-/// [`budget::Budget`](crate::budget::Budget) publishes on every Newton
-/// iteration. A supervising watchdog reads the snapshot — and in
+/// [`Heartbeat`] mirrors every one of them (plus a coarse *progress*
+/// counter and the current simulation time) into shared atomics that an
+/// installed [`budget::Budget`](crate::budget::Budget) publishes on every
+/// Newton iteration. A supervising watchdog reads the snapshot — and in
 /// particular [`progress`](Heartbeat::progress), which ticks only on
 /// accepted transient steps and completed DC solves — to tell a solve
 /// that is grinding forward from one that is wedged.
 #[derive(Debug, Default)]
 pub struct Heartbeat {
-    newton_iterations: AtomicU64,
-    lu_factorizations: AtomicU64,
-    step_rejections: AtomicU64,
-    steps_accepted: AtomicU64,
+    counters: [AtomicU64; Counter::COUNT],
     progress: AtomicU64,
     sim_time_bits: AtomicU64,
 }
@@ -164,14 +232,9 @@ impl Heartbeat {
     /// Publishes the solve's effort counters (called from inside the
     /// Newton loop via the installed budget).
     pub fn publish(&self, spent: &SolverStats) {
-        self.newton_iterations
-            .store(spent.newton_iterations, Ordering::Relaxed);
-        self.lu_factorizations
-            .store(spent.lu_factorizations, Ordering::Relaxed);
-        self.step_rejections
-            .store(spent.step_rejections, Ordering::Relaxed);
-        self.steps_accepted
-            .store(spent.steps_accepted, Ordering::Relaxed);
+        for (counter, n) in spent.iter() {
+            self.counters[counter as usize].store(n, Ordering::Relaxed);
+        }
     }
 
     /// Marks forward progress (an accepted transient step or a completed
@@ -201,53 +264,26 @@ impl Heartbeat {
 
     /// The most recently published effort counters.
     pub fn snapshot(&self) -> SolverStats {
-        SolverStats {
-            newton_iterations: self.newton_iterations.load(Ordering::Relaxed),
-            lu_factorizations: self.lu_factorizations.load(Ordering::Relaxed),
-            step_rejections: self.step_rejections.load(Ordering::Relaxed),
-            steps_accepted: self.steps_accepted.load(Ordering::Relaxed),
-            nonconvergence_events: 0,
-            slot_cache_hits: 0,
-            symbolic_reuses: 0,
-            refactor_fallbacks: 0,
-            bypass_solves: 0,
-            batched_evals: 0,
-            device_eval_ns: 0,
-            linear_solve_ns: 0,
-            fill_nnz: 0,
-            ordering_ns: 0,
-        }
+        SolverStats::from_fn(|c| self.counters[c as usize].load(Ordering::Relaxed))
     }
 }
 
 thread_local! {
-    static COUNTERS: Cell<SolverStats> = const { Cell::new(SolverStats {
-        newton_iterations: 0,
-        lu_factorizations: 0,
-        step_rejections: 0,
-        steps_accepted: 0,
-        nonconvergence_events: 0,
-        slot_cache_hits: 0,
-        symbolic_reuses: 0,
-        refactor_fallbacks: 0,
-        bypass_solves: 0,
-        batched_evals: 0,
-        device_eval_ns: 0,
-        linear_solve_ns: 0,
-        fill_nnz: 0,
-        ordering_ns: 0,
-    }) };
+    static COUNTERS: [Cell<u64>; Counter::COUNT] =
+        const { [const { Cell::new(0) }; Counter::COUNT] };
 }
 
 /// Current counter values for this thread.
 pub fn snapshot() -> SolverStats {
-    COUNTERS.with(|c| c.get())
+    COUNTERS.with(|cells| SolverStats::from_fn(|c| cells[c as usize].get()))
 }
 
 /// Adds `delta` into this thread's counters — used to fold work done on
 /// worker threads back into the spawning thread.
 pub fn add(delta: SolverStats) {
-    COUNTERS.with(|c| c.set(c.get() + delta));
+    for (counter, n) in delta.iter() {
+        count(counter, n);
+    }
 }
 
 /// Runs `f` and returns its result together with the solver effort it
@@ -258,101 +294,11 @@ pub fn measure<R>(f: impl FnOnce() -> R) -> (R, SolverStats) {
     (r, snapshot().delta_since(&before))
 }
 
-pub(crate) fn count_newton_iterations(n: u64) {
-    add(SolverStats {
-        newton_iterations: n,
-        ..SolverStats::default()
-    });
-}
-
-pub(crate) fn count_lu_factorization() {
-    add(SolverStats {
-        lu_factorizations: 1,
-        ..SolverStats::default()
-    });
-}
-
-pub(crate) fn count_step_rejection() {
-    add(SolverStats {
-        step_rejections: 1,
-        ..SolverStats::default()
-    });
-}
-
-pub(crate) fn count_step_accepted() {
-    add(SolverStats {
-        steps_accepted: 1,
-        ..SolverStats::default()
-    });
-}
-
-pub(crate) fn count_nonconvergence() {
-    add(SolverStats {
-        nonconvergence_events: 1,
-        ..SolverStats::default()
-    });
-}
-
-pub(crate) fn count_slot_cache_hit() {
-    add(SolverStats {
-        slot_cache_hits: 1,
-        ..SolverStats::default()
-    });
-}
-
-pub(crate) fn count_symbolic_reuse() {
-    add(SolverStats {
-        symbolic_reuses: 1,
-        ..SolverStats::default()
-    });
-}
-
-pub(crate) fn count_refactor_fallback() {
-    add(SolverStats {
-        refactor_fallbacks: 1,
-        ..SolverStats::default()
-    });
-}
-
-pub(crate) fn count_bypass_solve() {
-    add(SolverStats {
-        bypass_solves: 1,
-        ..SolverStats::default()
-    });
-}
-
-pub(crate) fn count_batched_eval() {
-    add(SolverStats {
-        batched_evals: 1,
-        ..SolverStats::default()
-    });
-}
-
-pub(crate) fn count_device_eval_ns(ns: u64) {
-    add(SolverStats {
-        device_eval_ns: ns,
-        ..SolverStats::default()
-    });
-}
-
-pub(crate) fn count_linear_solve_ns(ns: u64) {
-    add(SolverStats {
-        linear_solve_ns: ns,
-        ..SolverStats::default()
-    });
-}
-
-pub(crate) fn count_fill_nnz(nnz: u64) {
-    add(SolverStats {
-        fill_nnz: nnz,
-        ..SolverStats::default()
-    });
-}
-
-pub(crate) fn count_ordering_ns(ns: u64) {
-    add(SolverStats {
-        ordering_ns: ns,
-        ..SolverStats::default()
+/// Adds `n` to one of this thread's counters.
+pub(crate) fn count(counter: Counter, n: u64) {
+    COUNTERS.with(|cells| {
+        let cell = &cells[counter as usize];
+        cell.set(cell.get() + n);
     });
 }
 
@@ -360,46 +306,55 @@ pub(crate) fn count_ordering_ns(ns: u64) {
 mod tests {
     use super::*;
 
+    /// A distinct nonzero value per counter.
+    fn distinct() -> SolverStats {
+        SolverStats::from_fn(|c| 100 + 7 * c as u64)
+    }
+
     #[test]
     fn counters_are_monotone_and_diffable() {
         let a = snapshot();
-        count_newton_iterations(3);
-        count_lu_factorization();
-        count_step_rejection();
-        count_step_accepted();
-        count_nonconvergence();
-        count_slot_cache_hit();
-        count_symbolic_reuse();
-        count_refactor_fallback();
-        count_bypass_solve();
-        count_batched_eval();
-        count_device_eval_ns(250);
-        count_linear_solve_ns(750);
-        count_fill_nnz(420);
-        count_ordering_ns(99);
+        for (counter, n) in distinct().iter() {
+            count(counter, n);
+        }
         let d = snapshot().delta_since(&a);
-        assert_eq!(d.newton_iterations, 3);
-        assert_eq!(d.lu_factorizations, 1);
-        assert_eq!(d.step_rejections, 1);
-        assert_eq!(d.steps_accepted, 1);
-        assert_eq!(d.nonconvergence_events, 1);
-        assert_eq!(d.slot_cache_hits, 1);
-        assert_eq!(d.symbolic_reuses, 1);
-        assert_eq!(d.refactor_fallbacks, 1);
-        assert_eq!(d.bypass_solves, 1);
-        assert_eq!(d.batched_evals, 1);
-        assert_eq!(d.device_eval_ns, 250);
-        assert_eq!(d.linear_solve_ns, 750);
-        assert_eq!(d.fill_nnz, 420);
-        assert_eq!(d.ordering_ns, 99);
+        assert_eq!(d, distinct());
+        for (counter, n) in d.iter() {
+            assert_eq!(n, 100 + 7 * counter as u64, "{counter:?}");
+        }
         assert!(!d.is_zero());
+        assert_eq!(d + d, SolverStats::from_fn(|c| 2 * distinct().get(c)));
+        assert_eq!((d + d).delta_since(&d), d);
+    }
+
+    #[test]
+    fn table_rows_are_consistent() {
+        let keys: std::collections::HashSet<_> = Counter::ALL.iter().map(|c| c.key()).collect();
+        assert_eq!(keys.len(), Counter::COUNT, "wire keys must be unique");
+        for (i, c) in Counter::ALL.into_iter().enumerate() {
+            assert_eq!(c as usize, i, "ALL follows declaration order");
+            // Each counter addresses its own field.
+            let mut st = SolverStats::ZERO;
+            *st.get_mut(c) = 1;
+            assert_eq!(st.iter().filter(|&(_, n)| n == 1).count(), 1);
+            assert_eq!(st.get(c), 1);
+        }
+        let required: Vec<_> = Counter::ALL
+            .into_iter()
+            .filter(|c| c.is_required())
+            .map(Counter::key)
+            .collect();
+        assert_eq!(
+            required,
+            ["newton", "lu", "rejected", "accepted", "nonconv"]
+        );
     }
 
     #[test]
     fn measure_scopes_compose() {
         let ((), outer) = measure(|| {
-            count_newton_iterations(2);
-            let ((), inner) = measure(|| count_newton_iterations(5));
+            count(Counter::NewtonIterations, 2);
+            let ((), inner) = measure(|| count(Counter::NewtonIterations, 5));
             assert_eq!(inner.newton_iterations, 5);
         });
         assert_eq!(outer.newton_iterations, 7);
@@ -411,23 +366,14 @@ mod tests {
         let hb = Arc::new(Heartbeat::new());
         let remote = Arc::clone(&hb);
         std::thread::spawn(move || {
-            remote.publish(&SolverStats {
-                newton_iterations: 42,
-                lu_factorizations: 40,
-                step_rejections: 3,
-                steps_accepted: 9,
-                nonconvergence_events: 1,
-                ..Default::default()
-            });
+            remote.publish(&distinct());
             remote.tick_progress();
             remote.set_sim_time(1.5e-9);
         })
         .join()
         .unwrap();
-        let snap = hb.snapshot();
-        assert_eq!(snap.newton_iterations, 42);
-        assert_eq!(snap.steps_accepted, 9);
-        assert_eq!(snap.nonconvergence_events, 0); // not mirrored
+        // Every counter is mirrored.
+        assert_eq!(hb.snapshot(), distinct());
         assert_eq!(hb.progress(), 1);
         assert_eq!(hb.sim_time(), 1.5e-9);
     }

@@ -309,10 +309,10 @@ pub fn dense_vs_sparse(deck: &Deck) -> Result<(), Divergence> {
 
 /// The fill-reducing column ordering must not change what the sparse
 /// solver computes, only how much fill it creates doing so. Both sides
-/// pin the sparse backend; the natural side disables the ordering via
-/// [`SolveProfile::natural_ordering`], the ordered side forces it on
-/// every deck (the goldens are all below the size threshold) via
-/// [`SolveProfile::ordering_limit`] `Some(0)`.
+/// pin the sparse backend and set [`SolveProfile::ordering_limit`]: the
+/// natural side to `Some(usize::MAX)`, which disables the ordering, the
+/// ordered side to `Some(0)`, which forces it on every deck (the goldens
+/// are all below the size threshold).
 ///
 /// Unlike `fast_vs_slow` this is a tolerance comparison, not a byte
 /// comparison: permuting the elimination order changes the partial-pivot
@@ -323,13 +323,12 @@ pub fn dense_vs_sparse(deck: &Deck) -> Result<(), Divergence> {
 ///
 /// The first diverging (node, time) pair.
 ///
-/// [`SolveProfile::natural_ordering`]: nemscmos_spice::profile::SolveProfile::natural_ordering
 /// [`SolveProfile::ordering_limit`]: nemscmos_spice::profile::SolveProfile::ordering_limit
 pub fn ordered_vs_natural(deck: &Deck) -> Result<(), Divergence> {
     let natural = profile::with(
         SolveProfile {
             matrix_backend: Some(MatrixBackend::Sparse),
-            natural_ordering: true,
+            ordering_limit: Some(usize::MAX),
             ..Default::default()
         },
         || run_deck(deck, &TranOptions::default()),
