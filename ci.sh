@@ -31,6 +31,11 @@ echo "== perfbench (build + tests) =="
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
 cargo test -q --offline --manifest-path perfbench/Cargo.toml
 
+# The workspace fmt and clippy steps above do not reach perfbench/ either.
+echo "== perfbench (rustfmt + clippy) =="
+cargo fmt --check --manifest-path perfbench/Cargo.toml
+cargo clippy --offline --manifest-path perfbench/Cargo.toml --all-targets -- -D warnings -W clippy::perf
+
 # Golden-reference verification (DESIGN.md §11): oracle/differential/
 # snapshot suites, then an explicit snapshot drift check — a solver
 # change that moves committed waveforms must re-bless them (--bless)

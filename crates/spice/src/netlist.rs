@@ -119,6 +119,14 @@ impl std::fmt::Debug for ParsedDeck {
     }
 }
 
+/// Largest frequency grid an `.ac` directive may request, counted over the
+/// whole sweep as [`log_sweep`] builds it (ten decades at 10 000 points per
+/// decade). A deck asking for more is rejected before anything is
+/// allocated.
+///
+/// [`log_sweep`]: crate::analysis::ac::log_sweep
+pub const MAX_AC_POINTS: usize = 100_000;
+
 /// Parses a numeric token with SPICE engineering suffixes
 /// (`10k`, `2.5u`, `1meg`, `50p`, trailing unit letters ignored:
 /// `10pF` → `1e-11`).
@@ -346,11 +354,17 @@ fn expand_subckts(defs: &HashMap<String, Subckt>, top: Vec<String>) -> Result<Ve
             let tokens: Vec<String> = line.split_whitespace().map(|s| s.to_string()).collect();
             let card = tokens[0].to_ascii_uppercase();
             let is_x = card.starts_with('X');
-            // The "model" of an X card is the last bare token.
+            // The "model" of an X card is the last bare token after the
+            // instance name.
             let split = tokens
                 .iter()
                 .position(|t| t.contains('='))
                 .unwrap_or(tokens.len());
+            if is_x && split < 2 {
+                return Err(SpiceError::InvalidCircuit(format!(
+                    "'{line}': subcircuit instance needs nodes and a subcircuit name"
+                )));
+            }
             let model = tokens
                 .get(split.wrapping_sub(1))
                 .map(|m| m.to_ascii_lowercase());
@@ -550,10 +564,30 @@ pub fn parse_deck<F: DeviceFactory>(text: &str, factory: &F) -> Result<ParsedDec
                     if tokens.len() != 5 || !tokens[1].eq_ignore_ascii_case("dec") {
                         return Err(bad(".ac needs: dec npoints fstart fstop"));
                     }
+                    let points = parse_value(&tokens[2])?;
+                    let f_start = parse_value(&tokens[3])?;
+                    let f_stop = parse_value(&tokens[4])?;
+                    if !(points >= 1.0 && points.fract() == 0.0) {
+                        return Err(bad(".ac points per decade must be an integer >= 1"));
+                    }
+                    if !(f_start.is_finite() && f_start > 0.0) {
+                        return Err(bad(".ac start frequency must be finite and positive"));
+                    }
+                    if f_stop.is_nan() || f_stop <= f_start {
+                        return Err(bad(".ac stop frequency must exceed the start frequency"));
+                    }
+                    // The grid `log_sweep` would build, counted before it
+                    // is allocated.
+                    let total = ((f_stop / f_start).log10() * points).ceil() + 1.0;
+                    if total > MAX_AC_POINTS as f64 {
+                        return Err(bad(&format!(
+                            ".ac sweep exceeds {MAX_AC_POINTS} frequency points"
+                        )));
+                    }
                     directives.push(Directive::Ac {
-                        points_per_decade: parse_value(&tokens[2])? as usize,
-                        f_start: parse_value(&tokens[3])?,
-                        f_stop: parse_value(&tokens[4])?,
+                        points_per_decade: points as usize,
+                        f_start,
+                        f_stop,
                     });
                 }
                 "IC" => {

@@ -10,7 +10,9 @@
 //! * the Newton update solves `J Δx = −F`.
 //!
 //! Small systems are assembled densely; larger ones into a triplet matrix
-//! solved by the sparse Gilbert–Peierls LU.
+//! solved by the sparse Gilbert–Peierls LU. Every sparse solve takes one
+//! pipeline: compress, then bypass, refactor, or a fresh symbolic
+//! factorization, ordered whenever the stamper is.
 //!
 //! # The incremental fast path
 //!
@@ -25,21 +27,24 @@
 //!   into the preallocated CSC value slots (assign on a slot's first
 //!   touch, accumulate after), eliminating the per-iteration
 //!   sort/dedup/alloc of compression. A push sequence that deviates from
-//!   the frozen one thaws back to triplets and re-freezes on the next
-//!   solve.
-//! * **Symbolic LU reuse** — sparse factorizations keep their pivot order
-//!   and reach ([`SparseLu::factor_symbolic`]); subsequent solves replay
-//!   a numeric-only refactorization whose guards (pivot monitor, fill
-//!   drift) make success bitwise-equal to a fresh factorization, falling
-//!   back to one otherwise. Dense factorizations refactor into the cached
-//!   allocation instead of cloning the matrix every iteration.
+//!   the frozen one thaws back to triplets; that solve compresses them
+//!   through the same pipeline and caches its factorization, and the next
+//!   solve re-freezes (and refactors it if the pattern held).
+//! * **Symbolic LU reuse** — sparse factorizations keep their column
+//!   order, pivot order and reach ([`SparseLu::factor_symbolic`]);
+//!   subsequent solves replay a numeric-only refactorization whose guards
+//!   (pivot monitor, fill drift) make success bitwise-equal to a fresh
+//!   factorization, falling back to one otherwise. The fallback keeps the
+//!   rejected factorization's column order unless the pattern changed.
+//!   Dense factorizations refactor into the cached allocation instead of
+//!   cloning the matrix every iteration.
 //! * **Linear-circuit bypass** — when the caller proves the Jacobian
 //!   cannot have changed (same [`JacobianKey`], no nonlinear devices, no
 //!   fault injection), the previous factorization is reused outright and
 //!   only the RHS is re-solved.
 
 use nemscmos_numeric::dense::{DenseLu, DenseMatrix};
-use nemscmos_numeric::sparse::{CscMatrix, SparseLu, Triplet};
+use nemscmos_numeric::sparse::{min_degree, CscMatrix, RefactorReject, SparseLu, Triplet};
 
 use crate::element::NodeId;
 use crate::profile::{self, MatrixBackend};
@@ -63,7 +68,9 @@ const DENSE_LIMIT: usize = 64;
 /// committed golden waveforms must stay byte-identical, and the
 /// `fast_vs_slow` differential compares the default path bitwise against
 /// `legacy_linear_algebra`, which always factors in natural order. Decks
-/// below the threshold therefore keep the natural order verbatim; the
+/// below the threshold therefore keep the natural order verbatim (every
+/// sparse solve runs [`SparseLu::factor_symbolic`], whose kernel is
+/// [`SparseLu::factor`]'s, or a refactor proven bitwise-equal to it); the
 /// `ordered_vs_natural` differential forces the ordering onto them via
 /// [`SolveProfile::ordering_limit`] and checks solution equivalence.
 ///
@@ -150,8 +157,8 @@ pub struct Stamper {
     rhs: Vec<f64>,
     section: StampSection,
     first_non_finite: Option<NonFiniteNote>,
-    /// Replicate the pre-fast-path behavior exactly (no freezing, no
-    /// factorization reuse, fresh allocations per solve).
+    /// Replicate the pre-fast-path behavior exactly: never freeze, and
+    /// keep no factorization or `factor_key` between solves.
     legacy: bool,
     /// Freeze the sparse pattern at the next sparse solve. Disarmed for
     /// one solve after a thaw so the frozen pattern is always rebuilt
@@ -160,12 +167,8 @@ pub struct Stamper {
     /// Whether sparse factorizations use a fill-reducing column ordering
     /// (decided at construction from size and profile, like `legacy`).
     ordered: bool,
-    /// The fill-reducing column order of the frozen pattern, computed
-    /// once per pattern and reused across refactor fallbacks. Invalidated
-    /// by [`thaw`](Stamper::thaw) (the pattern is about to change).
-    col_order: Option<Vec<usize>>,
-    /// Cached sparse factorization (symbolic record attached) for
-    /// numeric-only refactorization and bypass.
+    /// Cached sparse factorization (symbolic record and column order
+    /// attached) for numeric-only refactorization and bypass.
     sparse_lu: Option<SparseLu>,
     /// Cached dense factorization, refactored in place each solve.
     dense_lu: Option<DenseLu>,
@@ -198,7 +201,6 @@ impl Stamper {
             legacy: profile::current().legacy_linear_algebra,
             freeze_armed: true,
             ordered: Self::want_ordered(n),
-            col_order: None,
             sparse_lu: None,
             dense_lu: None,
             factor_key: None,
@@ -366,9 +368,6 @@ impl Stamper {
         self.freeze_armed = false;
         self.sparse_lu = None;
         self.factor_key = None;
-        // The pattern is about to change; an ordering computed for the
-        // old pattern would silently misdirect the next factorization.
-        self.col_order = None;
     }
 
     /// Compresses the current triplet assembly and freezes its pattern:
@@ -513,101 +512,57 @@ impl Stamper {
         }
         self.neg_f.clear();
         self.neg_f.extend(self.rhs.iter().map(|&v| -v));
-        match &mut self.backend {
+        // The cached factorization is taken out for this solve and put
+        // back (with its key) only on the fast path, so a legacy solve
+        // always factors from scratch and a failed one leaves no cache. A
+        // key is only ever held alongside its factorization.
+        let bypass = key.is_some() && key == self.factor_key.take();
+        count(Counter::BypassSolves, bypass as u64);
+        count(Counter::LuFactorizations, !bypass as u64);
+        let dx = match &mut self.backend {
             Backend::Dense(m) => {
-                if self.legacy {
-                    count(Counter::LuFactorizations, 1);
-                    let lu = DenseLu::factor(m.clone())?;
-                    return Ok(lu.solve(&self.neg_f)?);
-                }
-                if let Some(lu) = self
-                    .dense_lu
-                    .as_ref()
-                    .filter(|_| key.is_some() && key == self.factor_key)
-                {
-                    count(Counter::BypassSolves, 1);
-                    return Ok(lu.solve(&self.neg_f)?);
-                }
-                count(Counter::LuFactorizations, 1);
-                self.factor_key = None;
-                match self.dense_lu.as_mut() {
-                    Some(lu) => {
-                        if let Err(e) = lu.refactor(m) {
-                            // The cached factors are partially overwritten.
-                            self.dense_lu = None;
-                            return Err(e.into());
-                        }
+                let lu = match self.dense_lu.take() {
+                    Some(lu) if bypass => lu,
+                    Some(mut lu) => {
+                        lu.refactor(m)?;
+                        lu
                     }
-                    None => self.dense_lu = Some(DenseLu::factor(m.clone())?),
-                }
-                self.factor_key = key;
-                Ok(self.dense_lu.as_ref().unwrap().solve(&self.neg_f)?)
+                    None => DenseLu::factor(m.clone())?,
+                };
+                let dx = lu.solve(&self.neg_f);
+                self.dense_lu = (!self.legacy).then_some(lu);
+                dx
             }
-            Backend::Sparse(t) => {
-                // Legacy, or the one hybrid solve right after a thaw:
-                // compress and factor from scratch, then re-arm freezing.
-                count(Counter::LuFactorizations, 1);
-                count(Counter::TripletFactorizations, 1);
-                if !self.legacy {
-                    self.freeze_armed = true;
-                }
-                let lu = SparseLu::factor(&t.to_csc())?;
-                Ok(lu.solve(&self.neg_f)?)
-            }
-            Backend::Frozen(fz) => {
-                if fz.via_slots {
-                    count(Counter::SlotCacheHits, 1);
-                }
-                if let Some(lu) = self
-                    .sparse_lu
-                    .as_ref()
-                    .filter(|_| key.is_some() && key == self.factor_key)
-                {
-                    count(Counter::BypassSolves, 1);
-                    return Ok(lu.solve(&self.neg_f)?);
-                }
-                count(Counter::LuFactorizations, 1);
-                self.factor_key = None;
-                let mut reused = false;
-                if let Some(lu) = self.sparse_lu.as_mut() {
-                    match lu.refactor(&fz.csc) {
-                        Ok(()) => {
-                            count(Counter::SymbolicReuses, 1);
-                            reused = true;
+            sparse => {
+                let compressed;
+                let csc = match sparse {
+                    Backend::Frozen(fz) => {
+                        if fz.via_slots {
+                            count(Counter::SlotCacheHits, 1);
                         }
-                        Err(_reject) => {
-                            // Guard fired (pivot drift, fill drift, small
-                            // pivot): discard the partially overwritten
-                            // factors and factor afresh below.
-                            count(Counter::RefactorFallbacks, 1);
-                            self.sparse_lu = None;
-                        }
+                        &fz.csc
                     }
-                }
-                if !reused {
-                    let lu = if self.ordered {
-                        if self.col_order.is_none() {
-                            // Computed once per frozen pattern and kept
-                            // across refactor fallbacks (value drift does
-                            // not change the pattern the order was built
-                            // for).
-                            let t0 = std::time::Instant::now();
-                            let q = nemscmos_numeric::sparse::min_degree(&fz.csc);
-                            count(Counter::OrderingNs, t0.elapsed().as_nanos() as u64);
-                            self.col_order = Some(q);
-                        }
-                        let q = self.col_order.as_ref().unwrap();
-                        SparseLu::factor_symbolic_with_order(&fz.csc, q)?
-                    } else {
-                        SparseLu::factor_symbolic(&fz.csc)?
-                    };
-                    count(Counter::FillNnz, lu.factor_nnz() as u64);
-                    self.sparse_lu = Some(lu);
-                }
-                self.factor_key = key;
-                Ok(self.sparse_lu.as_ref().unwrap().solve(&self.neg_f)?)
+                    Backend::Sparse(t) => {
+                        // Legacy, or the one solve right after a thaw:
+                        // compress the triplets; the next solve freezes.
+                        count(Counter::TripletFactorizations, 1);
+                        self.freeze_armed = true;
+                        compressed = t.to_csc();
+                        &compressed
+                    }
+                    Backend::Dense(_) => unreachable!("matched above"),
+                };
+                let lu = match self.sparse_lu.take() {
+                    Some(lu) if bypass => lu,
+                    cached => refactor_or_factor(csc, cached, self.ordered)?,
+                };
+                let dx = lu.solve(&self.neg_f);
+                self.sparse_lu = (!self.legacy).then_some(lu);
+                dx
             }
-        }
+        };
+        self.factor_key = key.filter(|_| !self.legacy);
+        Ok(dx?)
     }
 
     /// Infinity norm of the current residual.
@@ -699,6 +654,43 @@ impl Stamper {
             }
         }
     }
+}
+
+/// Refactors `cached` over `csc` when its symbolic record still fits, else
+/// factors afresh, ordered when `ordered`. A fresh factorization reuses the
+/// rejected one's column order unless the rejection was a pattern change.
+fn refactor_or_factor(
+    csc: &CscMatrix,
+    cached: Option<SparseLu>,
+    ordered: bool,
+) -> Result<SparseLu> {
+    let mut rejected = None;
+    if let Some(mut lu) = cached {
+        match lu.refactor(csc) {
+            Ok(()) => {
+                count(Counter::SymbolicReuses, 1);
+                return Ok(lu);
+            }
+            Err(reject) => {
+                // A guard fired: the factors are partially overwritten, but
+                // value drift leaves the pattern, and so its order, valid.
+                count(Counter::RefactorFallbacks, 1);
+                rejected = (reject != RefactorReject::PatternMismatch).then_some(lu);
+            }
+        }
+    }
+    let lu = match rejected.as_ref().and_then(SparseLu::column_order) {
+        Some(q) => SparseLu::factor_symbolic_with_order(csc, q)?,
+        None if ordered => {
+            let t0 = std::time::Instant::now();
+            let q = min_degree(csc);
+            count(Counter::OrderingNs, t0.elapsed().as_nanos() as u64);
+            SparseLu::factor_symbolic_with_order(csc, &q)?
+        }
+        None => SparseLu::factor_symbolic(csc)?,
+    };
+    count(Counter::FillNnz, lu.factor_nnz() as u64);
+    Ok(lu)
 }
 
 #[cfg(test)]
@@ -877,11 +869,12 @@ mod tests {
                 st.j(0, n - 1, 0.5);
             }
         };
-        let sparse = SolveProfile {
+        let ordered = SolveProfile {
             matrix_backend: Some(MatrixBackend::Sparse),
+            ordering_limit: Some(0),
             ..Default::default()
         };
-        profile::with(sparse, || {
+        profile::with(ordered, || {
             let mut st = Stamper::new(n);
             stamp(&mut st, false);
             st.solve().unwrap(); // freezes the pattern
@@ -893,6 +886,92 @@ mod tests {
             assert!(solved.is_ok());
             assert_eq!(spent.thaws, 1);
             assert_eq!(spent.triplet_factorizations, 1);
+            assert!(spent.fill_nnz > 0, "the post-thaw factorization is counted");
+            assert!(st.sparse_lu.as_ref().unwrap().column_order().is_some());
+            // The same pattern again freezes and refactors the post-thaw
+            // factorization instead of factoring afresh.
+            st.clear();
+            let (solved, spent) = crate::stats::measure(|| {
+                stamp(&mut st, true);
+                st.solve()
+            });
+            assert!(solved.is_ok());
+            assert!(matches!(st.backend, Backend::Frozen(_)));
+            assert_eq!(spent.symbolic_reuses, 1);
+            assert_eq!(spent.refactor_fallbacks, 0);
+            assert_eq!(spent.fill_nnz, 0);
+            assert_eq!(spent.triplet_factorizations, 0);
+        });
+    }
+
+    #[test]
+    fn column_order_survives_value_drift_and_follows_pattern_changes() {
+        use crate::profile::{self, MatrixBackend, SolveProfile};
+        use crate::stats::measure;
+        let n = 24;
+        let stamp = |st: &mut Stamper, diag: f64, extra: bool| {
+            for r in 0..n {
+                st.j(r, r, diag + 0.1 * r as f64);
+                if r + 1 < n {
+                    st.j(r, r + 1, -1.0);
+                    st.j(r + 1, r, -1.0);
+                }
+                if r > 0 {
+                    st.j(0, r, 0.25);
+                    st.j(r, 0, 0.25);
+                }
+                st.f(r, -1.0);
+            }
+            if extra {
+                st.j(n - 1, n / 2, -0.5);
+                st.j(n / 2, n - 1, -0.5);
+            }
+        };
+        let order = |st: &Stamper| -> Vec<usize> {
+            let lu = st.sparse_lu.as_ref().expect("factorization cached");
+            lu.column_order().expect("ordered").to_vec()
+        };
+        let ordered = SolveProfile {
+            matrix_backend: Some(MatrixBackend::Sparse),
+            ordering_limit: Some(0),
+            ..Default::default()
+        };
+        profile::with(ordered, || {
+            let mut st = Stamper::new(n);
+            stamp(&mut st, 4.0, false);
+            st.solve().unwrap();
+            let q = order(&st);
+            // Value drift on the frozen pattern: the refactor is rejected
+            // and the fresh factorization keeps the rejected one's order.
+            st.clear();
+            let (solved, spent) = measure(|| {
+                stamp(&mut st, 1e-6, false);
+                st.solve()
+            });
+            assert!(solved.is_ok());
+            assert_eq!(spent.refactor_fallbacks, 1);
+            assert_eq!(spent.ordering_ns, 0, "order not recomputed");
+            assert_eq!(order(&st), q);
+            // A deviating assembly thaws and is ordered for its own
+            // pattern; the original pattern then re-freezes, its refactor
+            // is a PatternMismatch, and the order is recomputed for it.
+            st.clear();
+            stamp(&mut st, 4.0, true);
+            st.solve().unwrap();
+            assert_ne!(order(&st), q, "the thawed pattern orders differently");
+            st.clear();
+            let (solved, spent) = measure(|| {
+                stamp(&mut st, 4.0, false);
+                st.solve()
+            });
+            assert!(solved.is_ok());
+            assert_eq!(spent.refactor_fallbacks, 1);
+            assert!(spent.ordering_ns > 0, "order recomputed");
+            let Backend::Frozen(fz) = &st.backend else {
+                panic!("the original pattern re-froze");
+            };
+            assert_eq!(order(&st), min_degree(&fz.csc));
+            assert_eq!(order(&st), q);
         });
     }
 

@@ -160,23 +160,29 @@ counter_table! {
     /// Wall-clock nanoseconds spent in the linear solve (factorization,
     /// refactorization, or bypass back-substitution).
     linear_solve_ns: LinearSolveNs = "solve_ns", optional;
-    /// Summed `nnz(L + U)` (diagonal included) over the fresh sparse
-    /// symbolic factorizations of the fast path — the honest fill cost
-    /// of the chosen column ordering. Refactorizations reuse the recorded
-    /// pattern and do not re-count; the legacy and dense paths never
-    /// count.
+    /// Summed `nnz(L + U)` (diagonal included) over every fresh sparse
+    /// factorization, the legacy path's included — the honest fill cost
+    /// of the chosen column ordering. Refactorizations and bypasses reuse
+    /// a recorded factorization and do not re-count; the dense path never
+    /// counts.
     fill_nnz: FillNnz = "fill_nnz", optional;
     /// Wall-clock nanoseconds spent computing fill-reducing column
-    /// orderings (once per frozen pattern; zero when the ordering does
-    /// not engage).
+    /// orderings: once per fresh factorization that has no order to
+    /// inherit (a new stamper's first, the solve after a thaw, and a
+    /// refactor fallback over a changed pattern; a fallback on value drift
+    /// keeps the rejected factorization's order). Zero when the ordering
+    /// does not engage.
     ordering_ns: OrderingNs = "ordering_ns", optional;
     /// Frozen sparse patterns converted back to triplet assembly because
     /// an assembly deviated from (or stopped short of) the frozen push
     /// sequence.
     thaws: Thaws = "thaws", optional;
-    /// Sparse factorizations of a raw triplet assembly, in natural order
-    /// and without a fill count: every sparse solve of the legacy path,
-    /// and the one solve right after a thaw on the fast path.
+    /// Sparse solves of a triplet assembly compressed at solve time
+    /// rather than through the frozen slot map: every sparse solve of the
+    /// legacy path, and the one solve right after a thaw on the fast
+    /// path. They take the same factorization pipeline as frozen solves
+    /// (ordered when the stamper is, fill counted, cached on the fast
+    /// path).
     triplet_factorizations: TripletFactorizations = "triplet_lu", optional;
 }
 

@@ -164,3 +164,57 @@ fn element_arity_errors_name_the_expected_shape() {
     let err = parse_deck("M1 leaky\n.op\n", &NoDevices).unwrap_err();
     assert!(err.to_string().contains("nodes and a model name"), "{err}");
 }
+
+#[test]
+fn ac_sweeps_with_bad_numbers_are_rejected() {
+    let deck = |ac: &str| format!("V1 in 0 DC 1\nR1 in 0 1k\n{ac}\n");
+    let cases = [
+        (".ac dec -5 1 1e6", "integer >= 1"),
+        (".ac dec 0 1 1e6", "integer >= 1"),
+        (".ac dec 2.5 1 1e6", "integer >= 1"),
+        (".ac dec 10 0 1e6", "finite and positive"),
+        (".ac dec 10 -1 1e6", "finite and positive"),
+        (".ac dec 10 1e400 1e401", "finite and positive"),
+        (".ac dec 10 1e6 1e3", "must exceed"),
+        (".ac dec 10 1e3 1e3", "must exceed"),
+        (".ac dec 10 1 1e400", "frequency points"),
+        (".ac dec 1e15 1 1e6", "frequency points"),
+    ];
+    for (ac, want) in cases {
+        let err = parse_deck(&deck(ac), &NoDevices).unwrap_err();
+        let msg = err.to_string();
+        assert!(msg.contains(ac) && msg.contains(want), "{ac}: {msg}");
+    }
+}
+
+#[test]
+fn ac_sweep_point_cap_is_inclusive() {
+    use nemscmos_spice::analysis::ac::log_sweep;
+    use nemscmos_spice::netlist::{Directive, MAX_AC_POINTS};
+    // One decade at N points per decade is a grid of N + 1 points.
+    let over = format!("R1 a 0 1k\n.ac dec {MAX_AC_POINTS} 1 10\n");
+    assert!(parse_deck(&over, &NoDevices).is_err());
+    let at_cap = format!("R1 a 0 1k\n.ac dec {} 1 10\n", MAX_AC_POINTS - 1);
+    let parsed = parse_deck(&at_cap, &NoDevices).unwrap();
+    let Directive::Ac {
+        points_per_decade,
+        f_start,
+        f_stop,
+    } = parsed.directives[0]
+    else {
+        panic!("expected an .ac directive");
+    };
+    assert_eq!(
+        log_sweep(f_start, f_stop, points_per_decade).len(),
+        MAX_AC_POINTS
+    );
+}
+
+#[test]
+fn bare_subcircuit_instance_is_a_typed_error() {
+    let deck = ".subckt x1 a\nR1 a 0 1k\n.ends\nX1\n.op\n";
+    let err = parse_deck(deck, &NoDevices).unwrap_err();
+    let msg = err.to_string();
+    assert!(msg.contains("'X1'"), "{msg}");
+    assert!(msg.contains("nodes and a subcircuit name"), "{msg}");
+}
