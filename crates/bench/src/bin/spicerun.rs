@@ -17,7 +17,7 @@ use std::process::ExitCode;
 
 use nemscmos::factory::StandardFactory;
 use nemscmos::spice::analysis::ac::{ac, log_sweep};
-use nemscmos::spice::analysis::dc_sweep::dc_sweep;
+use nemscmos::spice::analysis::dc_sweep::{dc_sweep, linear_sweep};
 use nemscmos::spice::analysis::op::{op, OpOptions};
 use nemscmos::spice::analysis::tran::{transient, TranOptions};
 use nemscmos::spice::netlist::{parse_deck, Directive, ParsedDeck};
@@ -95,12 +95,8 @@ fn run(deck: &ParsedDeck, text: &str, csv: bool, vcd_path: Option<&str>) -> Resu
                     .sources
                     .get(source)
                     .ok_or_else(|| format!(".dc references unknown source {source}"))?;
-                let mut values = Vec::new();
-                let mut v = *start;
-                while (step > &0.0 && v <= stop + 1e-12) || (step < &0.0 && v >= stop - 1e-12) {
-                    values.push(v);
-                    v += step;
-                }
+                // The parser bounded this grid.
+                let values = linear_sweep(*start, *stop, *step);
                 let results = dc_sweep(&mut fresh.circuit, src, &values, &OpOptions::default())
                     .map_err(|e| e.to_string())?;
                 println!("** .dc {source} **");

@@ -2,7 +2,7 @@
 //! parse and its full directive sequence must run.
 
 use nemscmos::factory::StandardFactory;
-use nemscmos::spice::analysis::dc_sweep::dc_sweep;
+use nemscmos::spice::analysis::dc_sweep::{dc_sweep, linear_sweep};
 use nemscmos::spice::analysis::op::{op, OpOptions};
 use nemscmos::spice::analysis::tran::{transient, TranOptions};
 use nemscmos::spice::netlist::{parse_deck, Directive};
@@ -36,8 +36,7 @@ fn run_deck(text: &str) {
                 step,
             } => {
                 let src = fresh.sources[&source];
-                let n = ((stop - start) / step).abs().round() as usize + 1;
-                let values: Vec<f64> = (0..n).map(|k| start + step * k as f64).collect();
+                let values = linear_sweep(start, stop, step);
                 dc_sweep(&mut fresh.circuit, src, &values, &OpOptions::default())
                     .expect(".dc completes");
             }

@@ -4,7 +4,7 @@
 //! circuit; this module builds *families* of them — m×n hybrid SRAM
 //! arrays with realistic precharge/write-driver periphery and
 //! logical-effort-sized domino fanout trees — so the sparse-solver
-//! scaling study (`perfbase --scaling`) can sweep unknown counts from
+//! scaling study (`perfbase`) can sweep unknown counts from
 //! tens to thousands on circuits that are structurally honest: supply
 //! and data rails are genuine high-degree hubs, bit lines couple whole
 //! columns, and the word-line drivers are transistors, not ideal

@@ -274,8 +274,9 @@ impl RunReport {
             t.nonconvergence_events,
             self.total_wall().as_secs_f64() * 1e3,
         ));
-        // Incremental linear-algebra telemetry, shown only when the fast
-        // path actually engaged (legacy runs keep the old report shape).
+        // Incremental linear-algebra telemetry, shown only when one of its
+        // counters moved (a batch served entirely from the cache keeps the
+        // shorter report shape).
         if t.slot_cache_hits + t.symbolic_reuses + t.refactor_fallbacks + t.bypass_solves > 0 {
             out.push_str(&format!(
                 "fast path: slot-cache hits {} | symbolic reuses {} | refactor fallbacks {} | \

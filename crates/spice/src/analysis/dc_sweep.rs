@@ -7,6 +7,40 @@ use crate::element::SourceRef;
 use crate::result::OpResult;
 use crate::{Result, SpiceError};
 
+/// Tolerance (V) by which a grid point may overshoot `stop` and still be
+/// swept, so that rounding in `start + k·step` cannot drop the end point.
+const SWEEP_END_SLACK: f64 = 1e-12;
+
+/// Number of points of the linear grid `start, start + step, …` that
+/// reaches `stop` (inclusive, within a picovolt), or `None` when the grid
+/// is not finite: a non-finite bound or step, a zero step, or a step that
+/// points away from `stop`. Saturates at `usize::MAX` instead of
+/// overflowing, so a caller can cap the count before allocating.
+pub(crate) fn linear_sweep_len(start: f64, stop: f64, step: f64) -> Option<usize> {
+    if !(start.is_finite() && stop.is_finite() && step.is_finite()) || step == 0.0 {
+        return None;
+    }
+    let span = (stop - start + SWEEP_END_SLACK.copysign(step)) / step;
+    (span >= 0.0).then(|| (span.floor() as usize).saturating_add(1))
+}
+
+/// The linear grid `start, start + step, …` that reaches `stop`
+/// (inclusive, within a picovolt), each point computed as `start + k·step`
+/// so rounding does not accumulate. A `.dc` directive parsed by
+/// [`parse_deck`] always yields a valid grid of at most [`MAX_DC_POINTS`].
+///
+/// # Panics
+///
+/// Panics if a bound or the step is not finite, the step is zero, or it
+/// points away from `stop`.
+///
+/// [`parse_deck`]: crate::netlist::parse_deck
+/// [`MAX_DC_POINTS`]: crate::netlist::MAX_DC_POINTS
+pub fn linear_sweep(start: f64, stop: f64, step: f64) -> Vec<f64> {
+    let n = linear_sweep_len(start, stop, step).expect("bad sweep grid");
+    (0..n).map(|k| start + step * k as f64).collect()
+}
+
 /// Sweeps the DC value of `src` through `values`, solving an operating
 /// point at each step.
 ///

@@ -18,11 +18,7 @@ use crate::{Result, SpiceError};
 /// The [`Stamper`] inside accumulates the incremental fast path (frozen
 /// assembly pattern, reusable factorizations — see [`crate::stamp`]), so
 /// every analysis creates one `Workspace` per run and threads it through
-/// each [`newton_solve`]. In legacy mode
-/// ([`SolveProfile::legacy_linear_algebra`]) the stamper is recreated per
-/// solve, replicating the pre-fast-path behavior exactly.
-///
-/// [`SolveProfile::legacy_linear_algebra`]: crate::profile::SolveProfile::legacy_linear_algebra
+/// each [`newton_solve`].
 #[derive(Debug, Default)]
 pub(crate) struct Workspace {
     st: Option<Stamper>,
@@ -39,15 +35,13 @@ impl Workspace {
         }
     }
 
-    /// The cached stamper for `n` unknowns — recreated when the dimension
-    /// or backend choice changed, or on every call in legacy mode — plus
-    /// the batch scratch columns, split-borrowed so assembly can use both.
+    /// The cached stamper for `n` unknowns — recreated when the dimension,
+    /// backend or ordering choice changed — plus the batch scratch
+    /// columns, split-borrowed so assembly can use both.
     fn parts(&mut self, n: usize) -> (&mut Stamper, &mut Vec<EvalBatch>) {
         let stale = match &self.st {
             Some(st) => {
-                st.is_legacy()
-                    || crate::profile::current().legacy_linear_algebra
-                    || st.dim() != n
+                st.dim() != n
                     || st.is_dense() != Stamper::want_dense(n)
                     || st.is_ordered() != Stamper::want_ordered(n)
             }

@@ -1,6 +1,6 @@
 //! System-matrix extraction at a bias point.
 //!
-//! The scaling benchmark (`perfbase --scaling`) measures ordering and
+//! The scaling benchmark (`perfbase`) measures ordering and
 //! factorization cost on the *actual* Newton Jacobian of a generated
 //! circuit, not a synthetic pattern. This module assembles that matrix
 //! the same way AC analysis does: solve the DC operating point (with the

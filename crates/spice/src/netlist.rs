@@ -25,6 +25,7 @@
 
 use std::collections::HashMap;
 
+use crate::analysis::dc_sweep::linear_sweep_len;
 use crate::circuit::Circuit;
 use crate::device::Device;
 use crate::element::{NodeId, SourceRef};
@@ -127,6 +128,19 @@ impl std::fmt::Debug for ParsedDeck {
 /// [`log_sweep`]: crate::analysis::ac::log_sweep
 pub const MAX_AC_POINTS: usize = 100_000;
 
+/// Largest voltage grid a `.dc` directive may request, counted as
+/// [`linear_sweep`] builds it. A deck asking for more is rejected before
+/// anything is allocated.
+///
+/// [`linear_sweep`]: crate::analysis::dc_sweep::linear_sweep
+pub const MAX_DC_POINTS: usize = 100_000;
+
+/// Largest number of cards a deck may flatten to once every `.subckt`
+/// instance is expanded. Expansion is refused as soon as it would produce
+/// one more, so a deck whose instances multiply at every level cannot
+/// exhaust memory.
+pub const MAX_EXPANDED_CARDS: usize = 100_000;
+
 /// Parses a numeric token with SPICE engineering suffixes
 /// (`10k`, `2.5u`, `1meg`, `50p`, trailing unit letters ignored:
 /// `10pF` → `1e-11`).
@@ -182,6 +196,7 @@ fn parse_waveform(tokens: &[String]) -> Result<Waveform> {
             .ok_or_else(|| SpiceError::InvalidCircuit(format!("{prefix} source needs '(args)'")))?;
         let close = upper
             .rfind(')')
+            .filter(|&close| close > open)
             .ok_or_else(|| SpiceError::InvalidCircuit(format!("{prefix} source missing ')'")))?;
         joined[open + 1..close]
             .split([' ', ','])
@@ -347,6 +362,16 @@ fn node_token_range(card_kind: char, tokens: &[String]) -> std::ops::Range<usize
 /// primitive cards remain.
 fn expand_subckts(defs: &HashMap<String, Subckt>, top: Vec<String>) -> Result<Vec<String>> {
     let mut lines = top;
+    // Every card of a pass goes through here, counted before it is kept.
+    let push = |expanded: &mut Vec<String>, card: String| -> Result<()> {
+        if expanded.len() == MAX_EXPANDED_CARDS {
+            return Err(SpiceError::InvalidCircuit(format!(
+                "subcircuit expansion exceeds {MAX_EXPANDED_CARDS} cards"
+            )));
+        }
+        expanded.push(card);
+        Ok(())
+    };
     for _depth in 0..32 {
         let mut expanded = Vec::new();
         let mut changed = false;
@@ -374,7 +399,7 @@ fn expand_subckts(defs: &HashMap<String, Subckt>, top: Vec<String>) -> Result<Ve
                 None
             };
             let Some(def) = def else {
-                expanded.push(line);
+                push(&mut expanded, line)?;
                 continue;
             };
             changed = true;
@@ -419,7 +444,7 @@ fn expand_subckts(defs: &HashMap<String, Subckt>, top: Vec<String>) -> Result<Ve
                 }
                 // Uniquify the instance name too.
                 btok[0] = format!("{}.{inst}", btok[0]);
-                expanded.push(btok.join(" "));
+                push(&mut expanded, btok.join(" "))?;
             }
         }
         lines = expanded;
@@ -553,11 +578,21 @@ pub fn parse_deck<F: DeviceFactory>(text: &str, factory: &F) -> Result<ParsedDec
                     if tokens.len() != 5 {
                         return Err(bad(".dc needs SRC start stop step"));
                     }
+                    let start = parse_value(&tokens[2])?;
+                    let stop = parse_value(&tokens[3])?;
+                    let step = parse_value(&tokens[4])?;
+                    let points = linear_sweep_len(start, stop, step).ok_or_else(|| {
+                        bad(".dc start, stop and step must be finite, with a nonzero \
+                             step towards stop")
+                    })?;
+                    if points > MAX_DC_POINTS {
+                        return Err(bad(&format!(".dc sweep exceeds {MAX_DC_POINTS} points")));
+                    }
                     directives.push(Directive::Dc {
                         source: tokens[1].to_ascii_uppercase(),
-                        start: parse_value(&tokens[2])?,
-                        stop: parse_value(&tokens[3])?,
-                        step: parse_value(&tokens[4])?,
+                        start,
+                        stop,
+                        step,
                     });
                 }
                 "AC" => {

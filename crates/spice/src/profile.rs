@@ -43,17 +43,10 @@ pub struct SolveProfile {
     pub force_backward_euler: bool,
     /// Pin the MNA matrix backend instead of the size-based default.
     pub matrix_backend: Option<MatrixBackend>,
-    /// Disable the incremental linear-algebra fast path (pattern-frozen
-    /// assembly, symbolic LU reuse, linear-circuit bypass) and re-solve
-    /// every iteration from scratch. Used by differential testing to pin
-    /// the slow path and by `perfbase` to measure the baseline; the fast
-    /// path is constructed to be bitwise identical to this one.
-    pub legacy_linear_algebra: bool,
     /// Disable structure-of-arrays batched device evaluation and load
     /// every device instance one at a time through virtual dispatch, the
-    /// pre-batching code path verbatim. Mirrors `legacy_linear_algebra`:
-    /// differential testing pins this to prove the batched path bitwise
-    /// identical, and `perfbase` uses it for the baseline measurement.
+    /// pre-batching code path verbatim. Differential testing pins this to
+    /// prove the batched path bitwise identical.
     pub scalar_device_eval: bool,
     /// Override the unknown-count threshold at or above which the sparse
     /// backend computes a fill-reducing column ordering (default
@@ -96,7 +89,6 @@ thread_local! {
         force_source_stepping: false,
         force_backward_euler: false,
         matrix_backend: None,
-        legacy_linear_algebra: false,
         scalar_device_eval: false,
         ordering_limit: None,
     }) };

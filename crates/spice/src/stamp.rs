@@ -18,9 +18,9 @@
 //!
 //! Reused across Newton iterations and timesteps (the engine keeps one
 //! `Stamper` per run), the assembler learns the MNA structure once and
-//! then gets out of its own way — while staying *bitwise identical* to
-//! the from-scratch path (pinned by `SolveProfile::legacy_linear_algebra`
-//! in differential testing):
+//! then gets out of its own way — while staying *bitwise identical* to a
+//! from-scratch factorization of every assembly (the committed golden
+//! waveforms, rendered before any of this existed, pin those bytes):
 //!
 //! * **Pattern-frozen stamping** — the first sparse solve records the
 //!   triplet → CSC slot of every push; later assemblies write straight
@@ -65,14 +65,13 @@ const DENSE_LIMIT: usize = 64;
 /// fill-reducing column ordering ([`min_degree`]) before factoring.
 ///
 /// Deliberately above the largest golden deck (82 unknowns): the six
-/// committed golden waveforms must stay byte-identical, and the
-/// `fast_vs_slow` differential compares the default path bitwise against
-/// `legacy_linear_algebra`, which always factors in natural order. Decks
-/// below the threshold therefore keep the natural order verbatim (every
-/// sparse solve runs [`SparseLu::factor_symbolic`], whose kernel is
-/// [`SparseLu::factor`]'s, or a refactor proven bitwise-equal to it); the
-/// `ordered_vs_natural` differential forces the ordering onto them via
-/// [`SolveProfile::ordering_limit`] and checks solution equivalence.
+/// committed golden waveforms were rendered in natural order and must stay
+/// byte-identical. Decks below the threshold therefore keep the natural
+/// order verbatim (every sparse solve runs [`SparseLu::factor_symbolic`],
+/// whose kernel is [`SparseLu::factor`]'s, or a refactor proven
+/// bitwise-equal to it); the `ordered_vs_natural` differential forces the
+/// ordering onto them via [`SolveProfile::ordering_limit`] and checks
+/// solution equivalence.
 ///
 /// [`min_degree`]: nemscmos_numeric::sparse::min_degree
 /// [`SolveProfile::ordering_limit`]: crate::profile::SolveProfile::ordering_limit
@@ -157,15 +156,12 @@ pub struct Stamper {
     rhs: Vec<f64>,
     section: StampSection,
     first_non_finite: Option<NonFiniteNote>,
-    /// Replicate the pre-fast-path behavior exactly: never freeze, and
-    /// keep no factorization or `factor_key` between solves.
-    legacy: bool,
     /// Freeze the sparse pattern at the next sparse solve. Disarmed for
     /// one solve after a thaw so the frozen pattern is always rebuilt
     /// from a raw push sequence, never from a thawed hybrid.
     freeze_armed: bool,
     /// Whether sparse factorizations use a fill-reducing column ordering
-    /// (decided at construction from size and profile, like `legacy`).
+    /// (decided at construction from size and profile).
     ordered: bool,
     /// Cached sparse factorization (symbolic record and column order
     /// attached) for numeric-only refactorization and bypass.
@@ -198,7 +194,6 @@ impl Stamper {
             rhs: vec![0.0; n],
             section: StampSection::Linear,
             first_non_finite: None,
-            legacy: profile::current().legacy_linear_algebra,
             freeze_armed: true,
             ordered: Self::want_ordered(n),
             sparse_lu: None,
@@ -222,16 +217,9 @@ impl Stamper {
     /// sparse factorizations should use a fill-reducing column order.
     /// The engagement threshold defaults to [`ORDERING_LIMIT`] and can be
     /// overridden through `SolveProfile::ordering_limit` (`usize::MAX`
-    /// pins natural order); `legacy_linear_algebra`, which predates the
-    /// ordering, implies natural order.
+    /// pins natural order).
     pub(crate) fn want_ordered(n: usize) -> bool {
-        let p = profile::current();
-        !p.legacy_linear_algebra && n >= p.ordering_limit.unwrap_or(ORDERING_LIMIT)
-    }
-
-    /// True when this assembler replays the pre-fast-path behavior.
-    pub(crate) fn is_legacy(&self) -> bool {
-        self.legacy
+        n >= profile::current().ordering_limit.unwrap_or(ORDERING_LIMIT)
     }
 
     /// True when sparse factorizations use a fill-reducing column order
@@ -506,16 +494,16 @@ impl Stamper {
         if matches!(&self.backend, Backend::Frozen(fz) if fz.cursor != fz.coords.len()) {
             self.thaw();
         }
-        // A raw (non-legacy) triplet assembly freezes at this solve.
-        if !self.legacy && self.freeze_armed && matches!(self.backend, Backend::Sparse(_)) {
+        // A raw triplet assembly freezes at this solve.
+        if self.freeze_armed && matches!(self.backend, Backend::Sparse(_)) {
             self.freeze();
         }
         self.neg_f.clear();
         self.neg_f.extend(self.rhs.iter().map(|&v| -v));
         // The cached factorization is taken out for this solve and put
-        // back (with its key) only on the fast path, so a legacy solve
-        // always factors from scratch and a failed one leaves no cache. A
-        // key is only ever held alongside its factorization.
+        // back (with its key) only when the factorization succeeds, so a
+        // failed one leaves no cache. A key is only ever held alongside
+        // its factorization.
         let bypass = key.is_some() && key == self.factor_key.take();
         count(Counter::BypassSolves, bypass as u64);
         count(Counter::LuFactorizations, !bypass as u64);
@@ -530,7 +518,7 @@ impl Stamper {
                     None => DenseLu::factor(m.clone())?,
                 };
                 let dx = lu.solve(&self.neg_f);
-                self.dense_lu = (!self.legacy).then_some(lu);
+                self.dense_lu = Some(lu);
                 dx
             }
             sparse => {
@@ -543,8 +531,8 @@ impl Stamper {
                         &fz.csc
                     }
                     Backend::Sparse(t) => {
-                        // Legacy, or the one solve right after a thaw:
-                        // compress the triplets; the next solve freezes.
+                        // The one solve right after a thaw: compress
+                        // the triplets; the next solve freezes.
                         count(Counter::TripletFactorizations, 1);
                         self.freeze_armed = true;
                         compressed = t.to_csc();
@@ -557,11 +545,11 @@ impl Stamper {
                     cached => refactor_or_factor(csc, cached, self.ordered)?,
                 };
                 let dx = lu.solve(&self.neg_f);
-                self.sparse_lu = (!self.legacy).then_some(lu);
+                self.sparse_lu = Some(lu);
                 dx
             }
         };
-        self.factor_key = key.filter(|_| !self.legacy);
+        self.factor_key = key;
         Ok(dx?)
     }
 
@@ -785,14 +773,6 @@ mod tests {
             ..Default::default()
         };
         profile::with(natural, || {
-            assert!(!Stamper::new(ORDERING_LIMIT).is_ordered());
-        });
-        // Legacy linear algebra predates the ordering and implies it off.
-        let legacy = SolveProfile {
-            legacy_linear_algebra: true,
-            ..Default::default()
-        };
-        profile::with(legacy, || {
             assert!(!Stamper::new(ORDERING_LIMIT).is_ordered());
         });
         // An overridden threshold forces it onto small systems.

@@ -161,7 +161,7 @@ counter_table! {
     /// refactorization, or bypass back-substitution).
     linear_solve_ns: LinearSolveNs = "solve_ns", optional;
     /// Summed `nnz(L + U)` (diagonal included) over every fresh sparse
-    /// factorization, the legacy path's included — the honest fill cost
+    /// factorization, the post-thaw ones included — the honest fill cost
     /// of the chosen column ordering. Refactorizations and bypasses reuse
     /// a recorded factorization and do not re-count; the dense path never
     /// counts.
@@ -178,11 +178,9 @@ counter_table! {
     /// sequence.
     thaws: Thaws = "thaws", optional;
     /// Sparse solves of a triplet assembly compressed at solve time
-    /// rather than through the frozen slot map: every sparse solve of the
-    /// legacy path, and the one solve right after a thaw on the fast
-    /// path. They take the same factorization pipeline as frozen solves
-    /// (ordered when the stamper is, fill counted, cached on the fast
-    /// path).
+    /// rather than through the frozen slot map: only the one solve right
+    /// after a thaw. It takes the same factorization pipeline as frozen
+    /// solves (ordered when the stamper is, fill counted, cached).
     triplet_factorizations: TripletFactorizations = "triplet_lu", optional;
 }
 

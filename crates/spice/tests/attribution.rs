@@ -2,7 +2,9 @@
 //! must be exactly zero on decks without devices (the device section is
 //! never entered, so no timestamp is ever taken), nonzero where batched
 //! device work actually happens, and pinned off by `scalar_device_eval`
-//! and `legacy_linear_algebra` without disturbing the solve counters.
+//! without disturbing the solve counters. A sparse device deck must also
+//! engage the incremental linear-algebra fast path: slot-cache hits,
+//! symbolic LU reuses, and no more refactor fallbacks than factorizations.
 
 use nemscmos_spice::analysis::op::op;
 use nemscmos_spice::analysis::tran::{transient, TranOptions};
@@ -141,25 +143,37 @@ fn scalar_pin_disables_batching_but_not_attribution() {
 }
 
 #[test]
-fn legacy_pin_also_runs_scalar_eval_when_asked() {
-    // The perfbase baseline pins both flags; the pair must compose.
-    let mut ckt = device_deck();
-    let pin = SolveProfile {
-        legacy_linear_algebra: true,
-        scalar_device_eval: true,
+fn sparse_device_ladder_engages_the_incremental_fast_path() {
+    // A driven RC ladder with a square-law shunt on every rung: well past
+    // the dense limit (64 unknowns), and nonlinear, so every Newton
+    // iteration assembles and factors a sparse Jacobian of one pattern.
+    let rungs = 80;
+    let mut ckt = Circuit::new();
+    let vin = ckt.node("in");
+    ckt.vsource(vin, Circuit::GROUND, Waveform::step(0.0, 1.0, 0.0, 1e-12));
+    let mut prev = vin;
+    for k in 0..rungs {
+        let node = ckt.node(&format!("n{k}"));
+        ckt.resistor(prev, node, 1e3);
+        ckt.capacitor(node, Circuit::GROUND, 1e-12);
+        ckt.add_device(SquareLaw { node, k: 1e-4 });
+        prev = node;
+    }
+    ckt.validate().unwrap();
+    assert!(ckt.num_unknowns() > 64, "{} unknowns", ckt.num_unknowns());
+    let opts = TranOptions {
+        dt_max: Some(0.5e-9),
         ..Default::default()
     };
-    let (res, spent) = profile::with(pin, || {
-        stats::measure(|| transient(&mut ckt, 1e-6, &tran_opts()).unwrap())
-    });
-    assert!(res.num_points() > 10);
-    assert_eq!(spent.batched_evals, 0);
-    assert_eq!(
-        spent.slot_cache_hits, 0,
-        "legacy pin disables the fast path"
+    let (_, spent) = stats::measure(|| transient(&mut ckt, 10e-9, &opts).unwrap());
+    assert!(spent.slot_cache_hits > 0, "slot-cache hits: {spent:?}");
+    assert!(spent.symbolic_reuses > 0, "symbolic reuses: {spent:?}");
+    assert!(
+        spent.refactor_fallbacks <= spent.lu_factorizations,
+        "fallbacks {} vs factorizations {}",
+        spent.refactor_fallbacks,
+        spent.lu_factorizations
     );
-    assert_eq!(spent.symbolic_reuses, 0);
-    assert!(spent.device_eval_ns > 0);
 }
 
 #[test]

@@ -218,3 +218,97 @@ fn bare_subcircuit_instance_is_a_typed_error() {
     assert!(msg.contains("'X1'"), "{msg}");
     assert!(msg.contains("nodes and a subcircuit name"), "{msg}");
 }
+
+#[test]
+fn waveform_with_close_before_open_is_rejected() {
+    for kind in ["PULSE", "PWL", "SIN", "EXP"] {
+        let deck = format!("V1 a 0 {kind}) (\nR1 a 0 1k\n.op\n");
+        let err = parse_deck(&deck, &NoDevices).unwrap_err();
+        let msg = err.to_string();
+        assert!(
+            msg.contains(kind) && msg.contains("missing ')'"),
+            "{kind}: {msg}"
+        );
+    }
+}
+
+#[test]
+fn dc_sweeps_with_bad_numbers_are_rejected() {
+    let deck = |dc: &str| format!("V1 in 0 DC 1\nR1 in 0 1k\n{dc}\n");
+    let cases = [
+        (".dc V1 1 2 0", "nonzero step towards stop"),
+        (".dc V1 1 2 -0.1", "nonzero step towards stop"),
+        (".dc V1 2 1 0.1", "nonzero step towards stop"),
+        (".dc V1 1e400 2 0.1", "must be finite"),
+        (".dc V1 1 1e400 0.1", "must be finite"),
+        (".dc V1 1 2 1e400", "must be finite"),
+        (".dc V1 1 2 1e-20", "points"),
+        (".dc V1 0 1e6 1", "points"),
+        (".dc V1 -1e308 1e308 1", "points"),
+    ];
+    for (dc, want) in cases {
+        let err = parse_deck(&deck(dc), &NoDevices).unwrap_err();
+        let msg = err.to_string();
+        assert!(msg.contains(dc) && msg.contains(want), "{dc}: {msg}");
+    }
+}
+
+#[test]
+fn dc_sweep_point_cap_is_inclusive() {
+    use nemscmos_spice::analysis::dc_sweep::linear_sweep;
+    use nemscmos_spice::netlist::{Directive, MAX_DC_POINTS};
+    // A unit step from 0 to N is a grid of N + 1 points.
+    let over = format!("V1 in 0 DC 1\nR1 in 0 1k\n.dc V1 0 {MAX_DC_POINTS} 1\n");
+    assert!(parse_deck(&over, &NoDevices).is_err());
+    let at_cap = format!(
+        "V1 in 0 DC 1\nR1 in 0 1k\n.dc V1 0 {} 1\n",
+        MAX_DC_POINTS - 1
+    );
+    let parsed = parse_deck(&at_cap, &NoDevices).unwrap();
+    let Directive::Dc {
+        start, stop, step, ..
+    } = parsed.directives[0]
+    else {
+        panic!("expected a .dc directive");
+    };
+    assert_eq!(linear_sweep(start, stop, step).len(), MAX_DC_POINTS);
+    // A start equal to stop is one point, and a downward sweep counts
+    // like an upward one.
+    assert_eq!(linear_sweep(1.0, 1.0, 0.1), vec![1.0]);
+    assert_eq!(linear_sweep(1.0, 0.0, -0.25).len(), 5);
+}
+
+#[test]
+fn exponential_subcircuit_expansion_hits_the_card_cap() {
+    use nemscmos_spice::netlist::MAX_EXPANDED_CARDS;
+    // Every level instantiates itself twice: 2^32 cards before the depth
+    // limit, refused once the flattened deck would pass the cap.
+    let deck = ".subckt a p\nX1 p a\nX2 p a\n.ends\nX0 n a\nR1 n 0 1k\n.op\n";
+    let err = parse_deck(deck, &NoDevices).unwrap_err();
+    let msg = err.to_string();
+    assert!(
+        msg.contains(&format!("{MAX_EXPANDED_CARDS} cards")),
+        "{msg}"
+    );
+}
+
+#[test]
+fn subcircuit_card_cap_is_inclusive() {
+    use nemscmos_spice::netlist::MAX_EXPANDED_CARDS;
+    // A 100-resistor leaf instantiated until the flattened deck holds
+    // exactly the cap; one more top-level card is refused.
+    let mut deck = String::from(".subckt leaf a\n");
+    for k in 0..100 {
+        deck.push_str(&format!("R{k} a 0 1k\n"));
+    }
+    deck.push_str(".ends\n");
+    for k in 0..MAX_EXPANDED_CARDS / 100 {
+        deck.push_str(&format!("X{k} n{k} leaf\n"));
+    }
+    let parsed = parse_deck(&deck, &NoDevices).unwrap();
+    // One node per instance, plus ground.
+    assert_eq!(parsed.nodes.len(), MAX_EXPANDED_CARDS / 100 + 1);
+    deck.push_str(".op\n");
+    let err = parse_deck(&deck, &NoDevices).unwrap_err();
+    assert!(err.to_string().contains("cards"), "{err}");
+}

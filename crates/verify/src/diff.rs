@@ -314,7 +314,7 @@ pub fn dense_vs_sparse(deck: &Deck) -> Result<(), Divergence> {
 /// ordered side to `Some(0)`, which forces it on every deck (the goldens
 /// are all below the size threshold).
 ///
-/// Unlike `fast_vs_slow` this is a tolerance comparison, not a byte
+/// Unlike `batched_vs_scalar` this is a tolerance comparison, not a byte
 /// comparison: permuting the elimination order changes the partial-pivot
 /// sequence, so the two factorizations round differently at the last
 /// ulp and the adaptive controller can amplify that slightly.
@@ -344,39 +344,6 @@ pub fn ordered_vs_natural(deck: &Deck) -> Result<(), Divergence> {
     compare_runs(deck, &natural, &ordered, |scale| {
         Tolerance::new(1e-6 * scale, 1e-6)
     })
-}
-
-/// The incremental linear-algebra fast path (pattern-frozen assembly,
-/// symbolic LU reuse, linear-circuit bypass) must be *bitwise identical*
-/// to the from-scratch path it replaces: the rendered JSON snapshot of
-/// every deck must not change by a single byte when the fast path is
-/// disabled via [`SolveProfile::legacy_linear_algebra`].
-///
-/// # Errors
-///
-/// A message naming the deck and the rendered sizes when the artifacts
-/// differ.
-///
-/// [`SolveProfile::legacy_linear_algebra`]: nemscmos_spice::profile::SolveProfile::legacy_linear_algebra
-pub fn fast_vs_slow(deck: &Deck) -> Result<(), String> {
-    let fast = snapshot_json(deck).render();
-    let slow = profile::with(
-        SolveProfile {
-            legacy_linear_algebra: true,
-            ..Default::default()
-        },
-        || snapshot_json(deck).render(),
-    );
-    if fast != slow {
-        return Err(format!(
-            "deck `{}` differs between the fast and legacy linear-algebra \
-             paths ({} vs {} rendered bytes)",
-            deck.name,
-            fast.len(),
-            slow.len()
-        ));
-    }
-    Ok(())
 }
 
 /// The structure-of-arrays batched device-evaluation path must be

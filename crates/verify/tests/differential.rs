@@ -26,13 +26,6 @@ fn ordered_and_natural_sparse_factorization_agree_on_every_deck() {
 }
 
 #[test]
-fn fast_and_legacy_linear_algebra_are_bitwise_identical_on_every_deck() {
-    for deck in diff::decks() {
-        diff::fast_vs_slow(&deck).unwrap_or_else(|msg| panic!("{msg}"));
-    }
-}
-
-#[test]
 fn batched_and_scalar_device_eval_are_bitwise_identical_on_every_deck() {
     for deck in diff::decks() {
         diff::batched_vs_scalar(&deck).unwrap_or_else(|msg| panic!("{msg}"));
