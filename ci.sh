@@ -20,9 +20,10 @@ cargo fmt --all --check
 echo "== clippy (-D warnings, perf lints) =="
 cargo clippy --offline --workspace --all-targets -- -D warnings -W clippy::perf
 
-# API docs: an intra-doc link to a renamed or removed item fails here.
-echo "== rustdoc (broken intra-doc links denied) =="
-RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --no-deps --offline --workspace
+# API docs: any rustdoc warning fails here — a link to a renamed,
+# removed or private item, or a redundant explicit link target.
+echo "== rustdoc (warnings denied) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
 
 # The repository benchmark lives outside the workspace (perfbench/ is a
 # workspace of its own), so the workspace build above never compiles

@@ -24,9 +24,9 @@
 
 use std::collections::VecDeque;
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Mutex};
 
+use nemscmos_spice::par;
 use nemscmos_spice::stats::{self, SolverStats};
 
 /// Worker-thread count from the environment, defaulting to the machine's
@@ -82,7 +82,10 @@ fn pop_job(queues: &[Mutex<VecDeque<usize>>], w: usize) -> Option<usize> {
 /// `Runner` turns them into per-job `Panicked` records).
 ///
 /// Every job runs even with one worker; solver-telemetry deltas from all
-/// non-panicking jobs are folded back into the calling thread.
+/// non-panicking jobs are folded back into the calling thread. With more
+/// than one worker, each runs its jobs at an eval-thread budget of 1
+/// ([`par::with_eval_threads`]); with one, jobs run inline under the
+/// caller's budget.
 pub fn try_parallel_map<T, F>(threads: usize, items: usize, f: F) -> Vec<std::thread::Result<T>>
 where
     T: Send,
@@ -110,7 +113,6 @@ where
             Mutex::new((lo..hi).rev().collect())
         })
         .collect();
-    let completed = AtomicUsize::new(0);
     type Caught = Box<dyn std::any::Any + Send>;
     let (tx, rx) = mpsc::channel::<(usize, Result<T, Caught>, SolverStats)>();
 
@@ -122,20 +124,21 @@ where
         for w in 0..threads {
             let tx = tx.clone();
             let queues = &queues;
-            let completed = &completed;
             let f = &f;
-            scope.spawn(move || loop {
-                match pop_job(queues, w) {
-                    Some(i) => {
+            // The workers already share the cores, so each one runs its
+            // jobs' device evaluation on its own thread.
+            scope.spawn(move || {
+                par::with_eval_threads(1, || {
+                    // Queues only shrink (no job is ever re-queued), so
+                    // once `pop_job` finds them all empty the worker is
+                    // done; jobs still running finish on their workers.
+                    while let Some(i) = pop_job(queues, w) {
                         // Catch the panic here and ship the payload to the
                         // caller as that slot's value, so the original
                         // payload (not `thread::scope`'s generic one) is
-                        // preserved — and a panicking job still counts as
-                        // completed, letting the other workers drain and
-                        // terminate.
+                        // preserved and the worker keeps draining.
                         let outcome =
                             std::panic::catch_unwind(AssertUnwindSafe(|| stats::measure(|| f(i))));
-                        completed.fetch_add(1, Ordering::SeqCst);
                         // Receiver outlives the workers, so the sends
                         // cannot fail.
                         match outcome {
@@ -147,13 +150,7 @@ where
                             }
                         }
                     }
-                    None => {
-                        if completed.load(Ordering::SeqCst) >= items {
-                            break;
-                        }
-                        std::thread::yield_now();
-                    }
-                }
+                })
             });
         }
         drop(tx);
@@ -283,6 +280,7 @@ mod tests {
 
     #[test]
     fn try_map_drains_every_job_despite_panics() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
         // Regression for the resume_unwind panic path: multiple panicking
         // jobs must not stop the queue — every job runs, the pool joins
         // cleanly, and each payload lands in its own slot.

@@ -13,13 +13,13 @@
 //!   [`Budget`](nemscmos_spice::budget::Budget) (deadline, iteration
 //!   caps) around each job's whole retry ladder, and — when a stall
 //!   timeout is configured — spawns a per-batch
-//!   [`Watchdog`](crate::watchdog::Watchdog) that cancels jobs whose
+//!   [`Watchdog`] that cancels jobs whose
 //!   heartbeat stops progressing. Interrupted jobs fail with typed
 //!   [`SpiceError`](nemscmos_spice::SpiceError) interrupts carrying
 //!   partial telemetry; the rest of the batch keeps running.
 //! * [`Runner::with_journal`] / [`Runner::resume`] make batches
 //!   crash-safe: every completed job is fsync'd to an append-only
-//!   [`Journal`](crate::journal::Journal), and a resumed run re-executes
+//!   [`Journal`], and a resumed run re-executes
 //!   only the jobs that never landed — bitwise-identically, thanks to
 //!   deterministic per-spec seeding.
 

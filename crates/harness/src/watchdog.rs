@@ -2,10 +2,9 @@
 //!
 //! [`Supervision`] is the harness-level policy — a per-job wall-clock
 //! deadline, iteration caps, and a stall timeout — from which the
-//! [`Runner`](crate::runner::Runner) derives one
-//! [`Budget`](nemscmos_spice::budget::Budget) per job. The deadline and
-//! the caps are enforced *in-band* by the budget itself (the Newton loop
-//! polls every iteration); the watchdog covers the failure mode polling
+//! [`Runner`](crate::runner::Runner) derives one [`Budget`] per job. The
+//! deadline and the caps are enforced *in-band* by the budget itself (the
+//! Newton loop polls every iteration); the watchdog covers the failure mode polling
 //! cannot see on its own: a solve that keeps iterating but stops making
 //! *progress* — a timestep-rejection storm, an op retry loop that never
 //! converges. Progress is defined by heartbeat ticks (accepted transient

@@ -42,6 +42,7 @@ use nemscmos_harness::{
     RetryPolicy, Supervision, Watchdog,
 };
 use nemscmos_spice::budget::{self, InterruptFlag};
+use nemscmos_spice::par;
 use nemscmos_spice::stats::{self, Heartbeat};
 
 use crate::admission::{Admission, AdmissionConfig, QueuedJob, SubmitOutcome};
@@ -637,10 +638,14 @@ pub fn serve(config: ServerConfig) -> Result<(), HarnessError> {
         workers.push(
             std::thread::Builder::new()
                 .name(format!("server-worker-{i}"))
+                // Workers share the cores with each other, so each one
+                // evaluates its jobs' devices on its own thread.
                 .spawn(move || {
-                    while let Some(job) = shared.admission.take() {
-                        shared.run_job(job);
-                    }
+                    par::with_eval_threads(1, || {
+                        while let Some(job) = shared.admission.take() {
+                            shared.run_job(job);
+                        }
+                    })
                 })
                 .expect("spawn worker"),
         );

@@ -3,10 +3,11 @@
 use nemscmos_numeric::newton::{NewtonOptions, NewtonSolver, NewtonStatus};
 use nemscmos_numeric::NumericError;
 
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
-use crate::circuit::Circuit;
-use crate::device::{EvalBatch, LoadContext, Mode, Solution};
+use crate::circuit::{BatchPlan, Circuit};
+use crate::device::{Device, EvalBatch, LoadContext, Mode, Solution};
 use crate::element::{Element, NodeId};
 use crate::faults::FaultKind;
 use crate::stamp::{JacobianKey, StampSection, Stamper};
@@ -22,9 +23,11 @@ use crate::{Result, SpiceError};
 #[derive(Debug, Default)]
 pub(crate) struct Workspace {
     st: Option<Stamper>,
-    /// Structure-of-arrays gather/eval columns, one per device batch,
-    /// reused across assemblies so the steady state allocates nothing.
-    scratch: Vec<EvalBatch>,
+    /// Structure-of-arrays gather/eval columns, one per chunk of the
+    /// batch plan, reused across assemblies so the steady state allocates
+    /// nothing. The mutex lets the eval helper fill a chunk the caller
+    /// has gathered.
+    scratch: Vec<Mutex<EvalBatch>>,
 }
 
 impl Workspace {
@@ -38,7 +41,7 @@ impl Workspace {
     /// The cached stamper for `n` unknowns — recreated when the dimension,
     /// backend or ordering choice changed — plus the batch scratch
     /// columns, split-borrowed so assembly can use both.
-    fn parts(&mut self, n: usize) -> (&mut Stamper, &mut Vec<EvalBatch>) {
+    fn parts(&mut self, n: usize) -> (&mut Stamper, &mut Vec<Mutex<EvalBatch>>) {
         let stale = match &self.st {
             Some(st) => {
                 st.dim() != n
@@ -318,12 +321,17 @@ pub(crate) fn load_ic_clamps(clamps: &[(NodeId, f64)], x: &[f64], st: &mut Stamp
 /// Assembles the full system (linear elements, devices, solver stamps) at
 /// candidate `x`, with section attribution for non-finite detection.
 ///
-/// Device loads go through the circuit's batch plan (gather → one shared
-/// evaluation per batch → per-device scatter in original order) unless
+/// Device loads go through the circuit's batch plan unless
 /// [`SolveProfile::scalar_device_eval`] pins the one-at-a-time loop or no
-/// device is batchable. Both paths stamp the identical call sequence, so
-/// the assembled system is bitwise the same either way. Time spent in the
-/// device section is attributed to [`SolverStats::device_eval_ns`].
+/// device is batchable: every chunk is gathered, the linear elements are
+/// stamped, every chunk is evaluated (part of them on the eval helper,
+/// see [`crate::par`]), and then every device stamps in global order —
+/// scattering its lane or loading itself. Gather and evaluation stamp
+/// nothing, so the stamp-call sequence, and with it the assembled system,
+/// is bitwise the same on every path and at every eval-thread budget.
+/// The caller's own time in gather, eval (claiming and waiting) and
+/// scatter is attributed to [`SolverStats::device_eval_ns`]; linear
+/// stamping is not.
 ///
 /// [`SolveProfile::scalar_device_eval`]:
 ///     crate::profile::SolveProfile::scalar_device_eval
@@ -333,53 +341,56 @@ fn assemble(
     x: &[f64],
     ctx: &LoadContext,
     st: &mut Stamper,
-    scratch: &mut Vec<EvalBatch>,
+    scratch: &mut Vec<Mutex<EvalBatch>>,
     lin: Option<&LinearState>,
     ic_clamps: Option<&[(NodeId, f64)]>,
 ) -> Result<()> {
     st.clear();
     st.set_section(StampSection::Linear);
-    load_linear(ckt, x, ctx, st, lin)?;
     let devices = ckt.devices();
-    if !devices.is_empty() {
-        let eval_start = Instant::now();
-        let sol = Solution::new(x);
-        let plan = if crate::profile::current().scalar_device_eval {
-            None
-        } else {
-            ckt.batch_plan()
-        };
-        match plan {
-            Some(plan) => {
-                scratch.resize_with(plan.batches.len(), EvalBatch::new);
-                for (b, members) in plan.batches.iter().enumerate() {
-                    let batch = &mut scratch[b];
-                    batch.clear();
-                    for &i in members {
-                        devices[i].batch_gather(&sol, batch);
+    let sol = Solution::new(x);
+    let plan = if crate::profile::current().scalar_device_eval {
+        None
+    } else {
+        ckt.batch_plan()
+    };
+    match plan {
+        Some(plan) => {
+            scratch.resize_with(plan.chunks.len(), Default::default);
+            let gather_eval_ns = eval_chunks(plan, devices, &sol, ctx, scratch, || {
+                load_linear(ckt, x, ctx, st, lin)
+            })?;
+            let scatter_start = Instant::now();
+            for (i, dev) in devices.iter().enumerate() {
+                st.set_section(StampSection::Device(i));
+                match plan.membership[i] {
+                    Some((c, lane)) => {
+                        let batch = scratch[c].get_mut().unwrap_or_else(PoisonError::into_inner);
+                        dev.batch_scatter(lane, batch, &sol, ctx, st);
                     }
-                    devices[members[0]].batch_eval(ctx, batch);
+                    None => dev.load(&sol, ctx, st),
                 }
-                for (i, dev) in devices.iter().enumerate() {
-                    st.set_section(StampSection::Device(i));
-                    match plan.membership[i] {
-                        Some((b, lane)) => dev.batch_scatter(lane, &scratch[b], &sol, ctx, st),
-                        None => dev.load(&sol, ctx, st),
-                    }
-                }
-                count(Counter::BatchedEvals, 1);
             }
-            None => {
+            count(Counter::BatchedEvals, 1);
+            count(
+                Counter::DeviceEvalNs,
+                gather_eval_ns + scatter_start.elapsed().as_nanos() as u64,
+            );
+        }
+        None => {
+            load_linear(ckt, x, ctx, st, lin)?;
+            if !devices.is_empty() {
+                let eval_start = Instant::now();
                 for (i, dev) in devices.iter().enumerate() {
                     st.set_section(StampSection::Device(i));
                     dev.load(&sol, ctx, st);
                 }
+                count(
+                    Counter::DeviceEvalNs,
+                    eval_start.elapsed().as_nanos() as u64,
+                );
             }
         }
-        count(
-            Counter::DeviceEvalNs,
-            eval_start.elapsed().as_nanos() as u64,
-        );
     }
     st.set_section(StampSection::Solver);
     st.gmin_shunts(ctx.gmin, ckt.num_node_unknowns(), x);
@@ -387,6 +398,51 @@ fn assemble(
         load_ic_clamps(clamps, x, st);
     }
     Ok(())
+}
+
+/// Locks one chunk's columns. A poisoned lock only means a `batch_eval`
+/// panicked mid-chunk; every gather clears the columns, so they are
+/// valid either way.
+fn lock(chunk: &Mutex<EvalBatch>) -> MutexGuard<'_, EvalBatch> {
+    chunk.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Gathers every chunk of `plan` in order, runs `linear`, then evaluates
+/// every chunk — shared with the eval helper when [`crate::par::evaluate`]
+/// publishes the job to it. Returns the caller's nanoseconds in gather
+/// and eval; `linear` is not counted.
+fn eval_chunks(
+    plan: &BatchPlan,
+    devices: &[Box<dyn Device>],
+    sol: &Solution<'_>,
+    ctx: &LoadContext,
+    scratch: &[Mutex<EvalBatch>],
+    linear: impl FnOnce() -> Result<()>,
+) -> Result<u64> {
+    let eval = |c: usize| devices[plan.chunks[c].rep].batch_eval(ctx, &mut lock(&scratch[c]));
+    let gather_start = Instant::now();
+    let (gather_ns, eval_start) =
+        crate::par::evaluate(&eval, plan.chunks.len(), plan.lanes, |job| {
+            for (c, chunk) in plan.chunks.iter().enumerate() {
+                let mut batch = lock(&scratch[c]);
+                batch.clear();
+                for &i in &chunk.members {
+                    devices[i].batch_gather(sol, &mut batch);
+                }
+                // Reserve the output columns here so that `batch_eval`
+                // never allocates, whichever thread runs it.
+                let lanes = batch.lanes();
+                for col in &mut batch.out {
+                    col.reserve(lanes);
+                }
+                drop(batch);
+                job.gathered();
+            }
+            let gather_ns = gather_start.elapsed().as_nanos() as u64;
+            linear()?;
+            Ok::<_, SpiceError>((gather_ns, Instant::now()))
+        })?;
+    Ok(gather_ns + eval_start.elapsed().as_nanos() as u64)
 }
 
 /// Maps a bare singular-matrix failure from the linear solver to a
@@ -414,7 +470,7 @@ fn kcl_audit(
     x: &[f64],
     ctx: &LoadContext,
     st: &mut Stamper,
-    scratch: &mut Vec<EvalBatch>,
+    scratch: &mut Vec<Mutex<EvalBatch>>,
     lin: Option<&LinearState>,
     ic_clamps: Option<&[(NodeId, f64)]>,
 ) -> Result<()> {

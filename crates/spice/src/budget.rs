@@ -19,7 +19,7 @@
 //!   raised every subsequent solve in the scope — including op fallback
 //!   ladders — fails fast too.
 //! * **Heartbeats**: if the budget carries a shared
-//!   [`Heartbeat`](crate::stats::Heartbeat), every poll publishes the
+//!   [`Heartbeat`], every poll publishes the
 //!   effort spent so far, and accepted transient steps / completed DC
 //!   solves tick its *progress* counter. A supervising watchdog uses this
 //!   to cancel jobs that stop making progress.

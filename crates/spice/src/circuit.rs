@@ -7,19 +7,36 @@ use crate::element::{Element, ElementId, NodeId, SourceRef};
 use crate::waveform::Waveform;
 use crate::{Result, SpiceError};
 
+/// Lanes per evaluation chunk of a [`BatchPlan`].
+pub(crate) const CHUNK: usize = 256;
+
 /// Partition of a circuit's devices into homogeneous evaluation batches,
-/// computed once at layout freeze from [`Device::batch_key`].
+/// computed once at layout freeze from [`Device::batch_key`], and of each
+/// batch into chunks of at most [`CHUNK`] lanes — the unit an assembly
+/// gathers, evaluates (on either thread, see [`crate::par`]) and scatters.
 ///
-/// Batches are ordered by first appearance of their key and lanes within
-/// a batch follow ascending device index, so the partition — and with it
-/// the gather/eval order — is a deterministic function of the netlist.
+/// Batches are ordered by first appearance of their key, lanes within a
+/// batch follow ascending device index, and chunks cut each batch in lane
+/// order, so the layout — and with it the gather/eval order — is a
+/// deterministic function of the netlist.
 #[derive(Debug, Clone)]
 pub(crate) struct BatchPlan {
-    /// Device indices of each batch, ascending within a batch.
-    pub batches: Vec<Vec<usize>>,
-    /// For each device index: `Some((batch, lane))` when batched, `None`
+    /// Every batch's chunks, batch by batch.
+    pub chunks: Vec<Chunk>,
+    /// For each device index: `Some((chunk, lane))` when batched, `None`
     /// for devices that always load through scalar dispatch.
     pub membership: Vec<Option<(usize, usize)>>,
+    /// Batched lanes in all chunks.
+    pub lanes: usize,
+}
+
+/// Up to [`CHUNK`] consecutive lanes of one batch.
+#[derive(Debug, Clone)]
+pub(crate) struct Chunk {
+    /// The batch's first member, which evaluates every chunk of it.
+    pub rep: usize,
+    /// Device indices of the chunk's lanes, ascending.
+    pub members: Vec<usize>,
 }
 
 /// A circuit netlist: named nodes, linear elements, and nonlinear devices.
@@ -144,30 +161,42 @@ impl Circuit {
     }
 
     /// Groups devices with equal [`Device::batch_key`]s into evaluation
-    /// batches; `None` when no device is batchable, which keeps scalar
-    /// circuits on the verbatim one-at-a-time load loop.
+    /// batches and cuts each into chunks; `None` when no device is
+    /// batchable, which keeps scalar circuits on the verbatim
+    /// one-at-a-time load loop.
     fn build_batch_plan(devices: &[Box<dyn Device>]) -> Option<BatchPlan> {
         let mut by_key: HashMap<u64, usize> = HashMap::new();
         let mut batches: Vec<Vec<usize>> = Vec::new();
-        let mut membership = vec![None; devices.len()];
         for (i, dev) in devices.iter().enumerate() {
             if let Some(key) = dev.batch_key() {
                 let b = *by_key.entry(key).or_insert_with(|| {
                     batches.push(Vec::new());
                     batches.len() - 1
                 });
-                membership[i] = Some((b, batches[b].len()));
                 batches[b].push(i);
             }
         }
         if batches.is_empty() {
-            None
-        } else {
-            Some(BatchPlan {
-                batches,
-                membership,
-            })
+            return None;
         }
+        let mut chunks = Vec::new();
+        let mut membership = vec![None; devices.len()];
+        for members in &batches {
+            for piece in members.chunks(CHUNK) {
+                for (lane, &i) in piece.iter().enumerate() {
+                    membership[i] = Some((chunks.len(), lane));
+                }
+                chunks.push(Chunk {
+                    rep: members[0],
+                    members: piece.to_vec(),
+                });
+            }
+        }
+        Some(BatchPlan {
+            chunks,
+            membership,
+            lanes: batches.iter().map(Vec::len).sum(),
+        })
     }
 
     /// The batch partition, available once the layout is finalized.

@@ -114,11 +114,12 @@ pub fn batch_key_word(hash: u64, word: u64) -> u64 {
     h
 }
 
-/// Structure-of-arrays scratch columns for one homogeneous device batch.
+/// Structure-of-arrays scratch columns for one chunk of a homogeneous
+/// device batch.
 ///
-/// The engine gathers every batch member's inputs into the `vin`/`bin`
+/// The engine gathers every chunk member's inputs into the `vin`/`bin`
 /// columns (one push per lane per column), has one representative member
-/// evaluate the whole batch into `out` in a tight slice loop, and then
+/// evaluate the whole chunk into `out` in a tight slice loop, and then
 /// scatters each lane's outputs through the stamper in the original
 /// per-device order. Four `f64` columns each way plus one `bool` column
 /// cover the three-terminal conduction models in this workspace (gate /
@@ -184,9 +185,9 @@ impl Default for EvalBatch {
 /// `batch_*` hooks. At layout freeze the circuit groups instances with
 /// equal keys into one batch; per assembly the engine calls
 /// [`Device::batch_gather`] on every member (in device order),
-/// [`Device::batch_eval`] once on the first member, and
-/// [`Device::batch_scatter`] on every member in the original global
-/// device order. The scatter must replay *exactly* the stamp-call
+/// [`Device::batch_eval`] once per chunk of the batch on the first
+/// member, and [`Device::batch_scatter`] on every member in the original
+/// global device order. The scatter must replay *exactly* the stamp-call
 /// sequence [`Device::load`] would produce, so the batched and scalar
 /// paths are bitwise identical.
 ///
@@ -196,7 +197,18 @@ impl Default for EvalBatch {
 /// values (terminal nodes, width, discrete state) must travel through the
 /// batch columns instead. Build keys by folding the parameter bits and a
 /// unique type tag with [`batch_key_word`].
-pub trait Device: std::fmt::Debug {
+///
+/// # Threads
+///
+/// Devices are `Send + Sync`: an assembly of a large batch plan runs
+/// some [`Device::batch_eval`] calls on the eval helper thread (see
+/// [`crate::par`]) while the calling thread gathers and evaluates other
+/// chunks. `batch_eval` must therefore be a pure function of `self`, the
+/// context and its own batch columns, and must not read thread-locals —
+/// solver stats, fault plans, the solve profile or the budget are the
+/// calling thread's and are not installed on the helper. Gather and
+/// scatter always run on the calling thread.
+pub trait Device: std::fmt::Debug + Send + Sync {
     /// Instance name for diagnostics.
     fn name(&self) -> &str;
 
@@ -247,9 +259,13 @@ pub trait Device: std::fmt::Debug {
     }
 
     /// Evaluates every gathered lane of the batch, pushing one value per
-    /// used output column per lane. Called once per batch on the first
-    /// member; by the key contract its model parameters are bitwise equal
-    /// to every other member's.
+    /// used output column per lane. Called once per chunk of a batch (a
+    /// fixed number of consecutive lanes), on the batch's first member;
+    /// by the key contract its model parameters are bitwise equal to
+    /// every other member's.
+    /// Each lane's outputs must depend only on that lane's inputs, and
+    /// the call may run on another thread (see the trait's *Threads*
+    /// section).
     fn batch_eval(&self, ctx: &LoadContext, batch: &mut EvalBatch) {
         let _ = (ctx, batch);
     }

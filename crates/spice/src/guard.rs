@@ -10,13 +10,13 @@
 //! * [`unknown_name`] maps a raw MNA unknown index back to its circuit
 //!   meaning (node name, branch current of a concrete element, or a
 //!   device internal unknown), used by
-//!   [`SpiceError::SingularSystem`](crate::SpiceError::SingularSystem)
-//!   and [`SpiceError::NonFinite`](crate::SpiceError::NonFinite).
+//!   [`SpiceError::SingularSystem`]
+//!   and [`SpiceError::NonFinite`].
 //! * [`GuardConfig`] is a thread-local toggle (same out-of-band pattern
 //!   as [`crate::profile`]) for the optional KCL audit: after every
 //!   converged Newton solve the engine re-assembles the residual at the
 //!   converged point and fails with
-//!   [`SpiceError::KclViolation`](crate::SpiceError::KclViolation) if any
+//!   [`SpiceError::KclViolation`] if any
 //!   node row exceeds the tolerance.
 //!
 //! The audit is **off by default**: enabling it costs one extra assembly

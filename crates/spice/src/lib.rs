@@ -25,6 +25,8 @@
 //!   backward-Euler-only integration).
 //! * [`budget`] — solve budgets: wall-clock deadlines, iteration caps,
 //!   cooperative cancellation, and heartbeats for watchdog supervision.
+//! * [`par`] — the per-thread eval-thread budget and the one parked
+//!   helper thread that large batch plans share device evaluation with.
 //!
 //! # Example: RC low-pass step response
 //!
@@ -55,6 +57,7 @@ pub mod element;
 pub mod faults;
 pub mod guard;
 pub mod netlist;
+pub mod par;
 pub mod profile;
 pub mod result;
 pub mod stamp;

@@ -177,9 +177,9 @@ pub struct Stamper {
 impl Stamper {
     /// Creates an assembler for `n` unknowns.
     ///
-    /// The backend is dense below [`DENSE_LIMIT`] unknowns and sparse
-    /// above, unless the active [`SolveProfile`] pins one explicitly
-    /// (used by differential testing to prove both paths agree).
+    /// The backend is dense up to 64 unknowns and sparse above, unless
+    /// the active [`SolveProfile`] pins one explicitly (used by
+    /// differential testing to prove both paths agree).
     ///
     /// [`SolveProfile`]: crate::profile::SolveProfile
     pub fn new(n: usize) -> Stamper {

@@ -182,6 +182,14 @@ counter_table! {
     /// after a thaw. It takes the same factorization pipeline as frozen
     /// solves (ordered when the stamper is, fill counted, cached).
     triplet_factorizations: TripletFactorizations = "triplet_lu", optional;
+    /// Assemblies that published their device-eval chunks to the eval
+    /// helper thread ([`crate::par`]): zero below the lane threshold, at
+    /// an eval-thread budget of 1, and when another thread held the
+    /// helper.
+    parallel_evals: ParallelEvals = "par_evals", optional;
+    /// Device-eval chunks the eval helper evaluated (the caller
+    /// evaluated the rest).
+    helper_chunks: HelperChunks = "helper_chunks", optional;
 }
 
 impl SolverStats {
