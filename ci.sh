@@ -82,15 +82,17 @@ if ! echo "$spice_out" | grep -q 'v(out) = 1.000000 V'; then
 fi
 
 # Hostile-deck smoke: each deck below once panicked spicerun (a ')'
-# before the '(' of a waveform) or exhausted memory (exponential
-# .subckt expansion, a .dc step too small to move the sweep). Each must
-# now be refused as a parse error, exit 1, within the time and
-# address-space limits — never a panic (101) or an abort (134).
+# before the '(' of a waveform, an E card whose gain overflows to
+# infinity) or exhausted memory (exponential .subckt expansion, a .dc
+# step too small to move the sweep). Each must now be refused as a
+# parse error, exit 1, within the time and address-space limits — never
+# a panic (101) or an abort (134).
 echo "== spicerun hostile-deck smoke =="
 bad_decks=(
     $'V1 a 0 PULSE) (\nR1 a 0 1k\n.op\n'
     $'.subckt a p\nX1 p a\nX2 p a\n.ends\nX0 n a\nR1 n 0 1k\n.op\n'
     $'V1 in 0 DC 1\nR1 in 0 1k\n.dc V1 1 2 1e-20\n'
+    $'V1 a 0 DC 1\nE1 b 0 a 0 1e400\nR1 b 0 1k\n.op\n'
 )
 deck=$(mktemp /tmp/nemscmos-bad-XXXXXX.cir)
 for text in "${bad_decks[@]}"; do

@@ -9,9 +9,10 @@
 //!   and asserts the gather → eval → scatter pipeline reproduces the
 //!   scalar `load` loop's Jacobian/residual push sequence bit for bit;
 //! * an end-to-end property that runs random NEMS+MOS stage chains
-//!   through op → transient → `reset_device_state` → op under the default
-//!   profile and under the `scalar_device_eval` pin, comparing every
-//!   sampled voltage bitwise — including decks whose gate drives cross
+//!   through op → transient → `reset_device_state` → op, once as built
+//!   and once with every device wrapped in [`Unbatched`] (no batch key,
+//!   so each loads through the scalar `load`), comparing every sampled
+//!   voltage bitwise — including decks whose gate drives cross
 //!   `v_pull_in`, exercising the discrete pull-in re-solve and the
 //!   commit/reset state machine.
 
@@ -30,6 +31,7 @@ use nemscmos_spice::device::{Device, EvalBatch, LoadContext, Solution};
 use nemscmos_spice::element::NodeId;
 use nemscmos_spice::profile::{self, MatrixBackend, SolveProfile};
 use nemscmos_spice::stamp::{StampSection, Stamper};
+use nemscmos_spice::stats;
 use nemscmos_spice::waveform::Waveform;
 
 /// Non-ground nodes available to the random device lists.
@@ -430,7 +432,64 @@ fn ckt_spec(d: &mut Draws) -> CktSpec {
     }
 }
 
-fn build_chain(spec: &CktSpec) -> (Circuit, Vec<NodeId>) {
+/// Forwards every [`Device`] method to the wrapped device except
+/// `batch_key`, which keeps its default `None`: the engine's batch plan
+/// leaves the instance out of every chunk, so it loads through the
+/// scalar [`Device::load`] — the reference side of the end-to-end
+/// property.
+#[derive(Debug)]
+struct Unbatched<D: Device>(D);
+
+impl<D: Device> Device for Unbatched<D> {
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+    fn num_internal(&self) -> usize {
+        self.0.num_internal()
+    }
+    fn set_internal_base(&mut self, base: usize) {
+        self.0.set_internal_base(base);
+    }
+    fn load(&self, x: &Solution<'_>, ctx: &LoadContext, st: &mut Stamper) {
+        self.0.load(x, ctx, st);
+    }
+    fn commit(&mut self, x: &Solution<'_>, ctx: &LoadContext) -> bool {
+        self.0.commit(x, ctx)
+    }
+    fn reset_state(&mut self) {
+        self.0.reset_state();
+    }
+    fn initial_guess(&self, x: &mut [f64]) {
+        self.0.initial_guess(x);
+    }
+    fn batch_gather(&self, x: &Solution<'_>, batch: &mut EvalBatch) {
+        self.0.batch_gather(x, batch);
+    }
+    fn batch_eval(&self, ctx: &LoadContext, batch: &mut EvalBatch) {
+        self.0.batch_eval(ctx, batch);
+    }
+    fn batch_scatter(
+        &self,
+        lane: usize,
+        batch: &EvalBatch,
+        x: &Solution<'_>,
+        ctx: &LoadContext,
+        st: &mut Stamper,
+    ) {
+        self.0.batch_scatter(lane, batch, x, ctx, st);
+    }
+}
+
+/// Adds `dev` to `ckt`, wrapped in [`Unbatched`] when asked.
+fn add<D: Device + 'static>(ckt: &mut Circuit, dev: D, unbatched: bool) {
+    if unbatched {
+        ckt.add_device(Unbatched(dev));
+    } else {
+        ckt.add_device(dev);
+    }
+}
+
+fn build_chain(spec: &CktSpec, unbatched: bool) -> (Circuit, Vec<NodeId>) {
     let mut ckt = Circuit::new();
     let vdd = ckt.node("vdd");
     let drive = ckt.node("in");
@@ -447,28 +506,23 @@ fn build_chain(spec: &CktSpec) -> (Circuit, Vec<NodeId>) {
         let out = ckt.node(&format!("out{k}"));
         ckt.resistor(vdd, out, stage.r_load);
         if stage.nems {
-            ckt.add_device(Nemfet::new(
+            let dev = Nemfet::new(
                 format!("x{k}"),
                 NemsModel::nems_90nm(Polarity::Nmos),
                 out,
                 gate,
                 Circuit::GROUND,
                 stage.w,
-            ));
+            );
+            add(&mut ckt, dev, unbatched);
         } else {
             let card = if stage.high_vt {
                 MosModel::nmos_90nm().with_vth_shift(HIGH_VT_SHIFT)
             } else {
                 MosModel::nmos_90nm()
             };
-            ckt.add_device(Mosfet::new(
-                format!("m{k}"),
-                card,
-                out,
-                gate,
-                Circuit::GROUND,
-                stage.w,
-            ));
+            let dev = Mosfet::new(format!("m{k}"), card, out, gate, Circuit::GROUND, stage.w);
+            add(&mut ckt, dev, unbatched);
         }
         outs.push(out);
         gate = out;
@@ -476,11 +530,12 @@ fn build_chain(spec: &CktSpec) -> (Circuit, Vec<NodeId>) {
     (ckt, outs)
 }
 
-/// Runs op → transient → `reset_device_state` → op on a fresh chain and
-/// flattens every sampled voltage to its bit pattern. Solver errors are
-/// folded into the output so both eval paths must fail identically too.
-fn run_chain(spec: &CktSpec) -> Result<Vec<u64>, String> {
-    let (mut ckt, outs) = build_chain(spec);
+/// Runs op → transient → `reset_device_state` → op on a fresh chain
+/// (every device [`Unbatched`] when asked) and flattens every sampled
+/// voltage to its bit pattern. Solver errors are folded into the output
+/// so both eval paths must fail identically too.
+fn run_chain(spec: &CktSpec, unbatched: bool) -> Result<Vec<u64>, String> {
+    let (mut ckt, outs) = build_chain(spec, unbatched);
     let mut bits = Vec::new();
     let first = op(&mut ckt).map_err(|e| format!("first op: {e:?}"))?;
     for &n in &outs {
@@ -507,10 +562,10 @@ fn run_chain(spec: &CktSpec) -> Result<Vec<u64>, String> {
     Ok(bits)
 }
 
-/// End to end, the default (batched) profile and the `scalar_device_eval`
-/// pin produce bitwise-identical trajectories across op, transient, and
-/// post-reset re-solve — including drives that cross `v_pull_in` and flip
-/// the discrete NEMFET state mid-analysis.
+/// End to end, batched devices and their [`Unbatched`] twins produce
+/// bitwise-identical trajectories across op, transient, and post-reset
+/// re-solve — including drives that cross `v_pull_in` and flip the
+/// discrete NEMFET state mid-analysis.
 #[test]
 fn batched_and_scalar_trajectories_are_bitwise_identical() {
     check(
@@ -518,13 +573,13 @@ fn batched_and_scalar_trajectories_are_bitwise_identical() {
         &Config::with_cases(24),
         ckt_spec,
         |spec| {
-            let fast = run_chain(spec);
-            let slow = profile::with(
-                SolveProfile {
-                    scalar_device_eval: true,
-                    ..Default::default()
-                },
-                || run_chain(spec),
+            let (fast, batched) = stats::measure(|| run_chain(spec, false));
+            let (slow, unbatched) = stats::measure(|| run_chain(spec, true));
+            prop_check!(
+                batched.batched_evals > 0 && unbatched.batched_evals == 0,
+                "batched evals: {} as built, {} unbatched",
+                batched.batched_evals,
+                unbatched.batched_evals
             );
             prop_check!(
                 fast == slow,

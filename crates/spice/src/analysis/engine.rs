@@ -321,20 +321,18 @@ pub(crate) fn load_ic_clamps(clamps: &[(NodeId, f64)], x: &[f64], st: &mut Stamp
 /// Assembles the full system (linear elements, devices, solver stamps) at
 /// candidate `x`, with section attribution for non-finite detection.
 ///
-/// Device loads go through the circuit's batch plan unless
-/// [`SolveProfile::scalar_device_eval`] pins the one-at-a-time loop or no
-/// device is batchable: every chunk is gathered, the linear elements are
-/// stamped, every chunk is evaluated (part of them on the eval helper,
-/// see [`crate::par`]), and then every device stamps in global order —
-/// scattering its lane or loading itself. Gather and evaluation stamp
-/// nothing, so the stamp-call sequence, and with it the assembled system,
-/// is bitwise the same on every path and at every eval-thread budget.
-/// The caller's own time in gather, eval (claiming and waiting) and
-/// scatter is attributed to [`SolverStats::device_eval_ns`]; linear
-/// stamping is not.
+/// Devices load through the circuit's batch plan: every chunk is
+/// gathered, the linear elements are stamped, every chunk is evaluated
+/// (part of them on the eval helper, see [`crate::par`]), and then every
+/// device stamps in global order — scattering its lane, or loading itself
+/// when it has no batch key. Gather and evaluation stamp nothing, so the
+/// stamp-call sequence, and with it the assembled system, is bitwise the
+/// same at every eval-thread budget. The caller's time in the device
+/// section (gather, eval claiming and waiting, scatter) is attributed to
+/// [`SolverStats::device_eval_ns`]: one bracket around the section minus
+/// the linear stamping inside it. A circuit without devices reads no
+/// clock.
 ///
-/// [`SolveProfile::scalar_device_eval`]:
-///     crate::profile::SolveProfile::scalar_device_eval
 /// [`SolverStats::device_eval_ns`]: crate::stats::SolverStats::device_eval_ns
 fn assemble(
     ckt: &Circuit,
@@ -348,49 +346,35 @@ fn assemble(
     st.clear();
     st.set_section(StampSection::Linear);
     let devices = ckt.devices();
-    let sol = Solution::new(x);
-    let plan = if crate::profile::current().scalar_device_eval {
-        None
+    if devices.is_empty() {
+        load_linear(ckt, x, ctx, st, lin)?;
     } else {
-        ckt.batch_plan()
-    };
-    match plan {
-        Some(plan) => {
-            scratch.resize_with(plan.chunks.len(), Default::default);
-            let gather_eval_ns = eval_chunks(plan, devices, &sol, ctx, scratch, || {
-                load_linear(ckt, x, ctx, st, lin)
-            })?;
-            let scatter_start = Instant::now();
-            for (i, dev) in devices.iter().enumerate() {
-                st.set_section(StampSection::Device(i));
-                match plan.membership[i] {
-                    Some((c, lane)) => {
-                        let batch = scratch[c].get_mut().unwrap_or_else(PoisonError::into_inner);
-                        dev.batch_scatter(lane, batch, &sol, ctx, st);
-                    }
-                    None => dev.load(&sol, ctx, st),
-                }
-            }
-            count(Counter::BatchedEvals, 1);
-            count(
-                Counter::DeviceEvalNs,
-                gather_eval_ns + scatter_start.elapsed().as_nanos() as u64,
-            );
-        }
-        None => {
+        let plan = ckt.batch_plan();
+        let sol = Solution::new(x);
+        scratch.resize_with(plan.chunks.len(), Default::default);
+        let start = Instant::now();
+        let linear_ns = eval_chunks(plan, devices, &sol, ctx, scratch, || {
+            let linear_start = Instant::now();
             load_linear(ckt, x, ctx, st, lin)?;
-            if !devices.is_empty() {
-                let eval_start = Instant::now();
-                for (i, dev) in devices.iter().enumerate() {
-                    st.set_section(StampSection::Device(i));
-                    dev.load(&sol, ctx, st);
+            Ok(linear_start.elapsed().as_nanos() as u64)
+        })?;
+        for (i, dev) in devices.iter().enumerate() {
+            st.set_section(StampSection::Device(i));
+            match plan.membership[i] {
+                Some((c, lane)) => {
+                    let batch = scratch[c].get_mut().unwrap_or_else(PoisonError::into_inner);
+                    dev.batch_scatter(lane, batch, &sol, ctx, st);
                 }
-                count(
-                    Counter::DeviceEvalNs,
-                    eval_start.elapsed().as_nanos() as u64,
-                );
+                None => dev.load(&sol, ctx, st),
             }
         }
+        if plan.lanes > 0 {
+            count(Counter::BatchedEvals, 1);
+        }
+        count(
+            Counter::DeviceEvalNs,
+            start.elapsed().as_nanos() as u64 - linear_ns,
+        );
     }
     st.set_section(StampSection::Solver);
     st.gmin_shunts(ctx.gmin, ckt.num_node_unknowns(), x);
@@ -409,40 +393,35 @@ fn lock(chunk: &Mutex<EvalBatch>) -> MutexGuard<'_, EvalBatch> {
 
 /// Gathers every chunk of `plan` in order, runs `linear`, then evaluates
 /// every chunk — shared with the eval helper when [`crate::par::evaluate`]
-/// publishes the job to it. Returns the caller's nanoseconds in gather
-/// and eval; `linear` is not counted.
+/// publishes the job to it. Returns what `linear` returns: the
+/// nanoseconds it spent stamping.
 fn eval_chunks(
     plan: &BatchPlan,
     devices: &[Box<dyn Device>],
     sol: &Solution<'_>,
     ctx: &LoadContext,
     scratch: &[Mutex<EvalBatch>],
-    linear: impl FnOnce() -> Result<()>,
+    linear: impl FnOnce() -> Result<u64>,
 ) -> Result<u64> {
     let eval = |c: usize| devices[plan.chunks[c].rep].batch_eval(ctx, &mut lock(&scratch[c]));
-    let gather_start = Instant::now();
-    let (gather_ns, eval_start) =
-        crate::par::evaluate(&eval, plan.chunks.len(), plan.lanes, |job| {
-            for (c, chunk) in plan.chunks.iter().enumerate() {
-                let mut batch = lock(&scratch[c]);
-                batch.clear();
-                for &i in &chunk.members {
-                    devices[i].batch_gather(sol, &mut batch);
-                }
-                // Reserve the output columns here so that `batch_eval`
-                // never allocates, whichever thread runs it.
-                let lanes = batch.lanes();
-                for col in &mut batch.out {
-                    col.reserve(lanes);
-                }
-                drop(batch);
-                job.gathered();
+    crate::par::evaluate(&eval, plan.chunks.len(), plan.lanes, |job| {
+        for (c, chunk) in plan.chunks.iter().enumerate() {
+            let mut batch = lock(&scratch[c]);
+            batch.clear();
+            for &i in &chunk.members {
+                devices[i].batch_gather(sol, &mut batch);
             }
-            let gather_ns = gather_start.elapsed().as_nanos() as u64;
-            linear()?;
-            Ok::<_, SpiceError>((gather_ns, Instant::now()))
-        })?;
-    Ok(gather_ns + eval_start.elapsed().as_nanos() as u64)
+            // Reserve the output columns here so that `batch_eval`
+            // never allocates, whichever thread runs it.
+            let lanes = batch.lanes();
+            for col in &mut batch.out {
+                col.reserve(lanes);
+            }
+            drop(batch);
+            job.gathered();
+        }
+        linear()
+    })
 }
 
 /// Maps a bare singular-matrix failure from the linear solver to a

@@ -18,13 +18,15 @@ pub(crate) const CHUNK: usize = 256;
 /// Batches are ordered by first appearance of their key, lanes within a
 /// batch follow ascending device index, and chunks cut each batch in lane
 /// order, so the layout — and with it the gather/eval order — is a
-/// deterministic function of the netlist.
-#[derive(Debug, Clone)]
+/// deterministic function of the netlist. A circuit without batchable
+/// devices has a plan with no chunks.
+#[derive(Debug, Clone, Default)]
 pub(crate) struct BatchPlan {
     /// Every batch's chunks, batch by batch.
     pub chunks: Vec<Chunk>,
     /// For each device index: `Some((chunk, lane))` when batched, `None`
-    /// for devices that always load through scalar dispatch.
+    /// for devices without a batch key, which load through
+    /// [`Device::load`].
     pub membership: Vec<Option<(usize, usize)>>,
     /// Batched lanes in all chunks.
     pub lanes: usize,
@@ -64,7 +66,7 @@ pub struct Circuit {
     num_branches: usize,
     internal_unknowns: usize,
     layout_final: bool,
-    batch_plan: Option<BatchPlan>,
+    batch_plan: BatchPlan,
     ics: Vec<(NodeId, f64)>,
 }
 
@@ -82,7 +84,7 @@ impl Circuit {
             num_branches: 0,
             internal_unknowns: 0,
             layout_final: false,
-            batch_plan: None,
+            batch_plan: BatchPlan::default(),
             ics: Vec::new(),
         };
         ckt.nodes_by_name.insert("0".to_string(), NodeId::GROUND);
@@ -161,10 +163,9 @@ impl Circuit {
     }
 
     /// Groups devices with equal [`Device::batch_key`]s into evaluation
-    /// batches and cuts each into chunks; `None` when no device is
-    /// batchable, which keeps scalar circuits on the verbatim
-    /// one-at-a-time load loop.
-    fn build_batch_plan(devices: &[Box<dyn Device>]) -> Option<BatchPlan> {
+    /// batches and cuts each into chunks; devices without a key are left
+    /// out of every chunk and load themselves through [`Device::load`].
+    fn build_batch_plan(devices: &[Box<dyn Device>]) -> BatchPlan {
         let mut by_key: HashMap<u64, usize> = HashMap::new();
         let mut batches: Vec<Vec<usize>> = Vec::new();
         for (i, dev) in devices.iter().enumerate() {
@@ -175,9 +176,6 @@ impl Circuit {
                 });
                 batches[b].push(i);
             }
-        }
-        if batches.is_empty() {
-            return None;
         }
         let mut chunks = Vec::new();
         let mut membership = vec![None; devices.len()];
@@ -192,16 +190,16 @@ impl Circuit {
                 });
             }
         }
-        Some(BatchPlan {
+        BatchPlan {
             chunks,
             membership,
             lanes: batches.iter().map(Vec::len).sum(),
-        })
+        }
     }
 
-    /// The batch partition, available once the layout is finalized.
-    pub(crate) fn batch_plan(&self) -> Option<&BatchPlan> {
-        self.batch_plan.as_ref()
+    /// The batch partition, complete once the layout is finalized.
+    pub(crate) fn batch_plan(&self) -> &BatchPlan {
+        &self.batch_plan
     }
 
     fn assert_mutable(&self) {

@@ -188,8 +188,8 @@ impl Default for EvalBatch {
 /// [`Device::batch_eval`] once per chunk of the batch on the first
 /// member, and [`Device::batch_scatter`] on every member in the original
 /// global device order. The scatter must replay *exactly* the stamp-call
-/// sequence [`Device::load`] would produce, so the batched and scalar
-/// paths are bitwise identical.
+/// sequence [`Device::load`] would produce, so a batched instance
+/// stamps bitwise what it would stamp without a key.
 ///
 /// Key contract: equal keys imply the same concrete device type, the same
 /// gather/output column usage, and bitwise-equal model parameters for

@@ -566,12 +566,17 @@ pub fn parse_deck<F: DeviceFactory>(text: &str, factory: &F) -> Result<ParsedDec
             match directive {
                 "OP" => directives.push(Directive::Op),
                 "TRAN" => {
-                    // .tran [tstep] tstop — last numeric token is tstop.
-                    let tstop = tokens
-                        .last()
-                        .filter(|_| tokens.len() >= 2)
-                        .ok_or_else(|| bad(".tran needs a stop time"))
-                        .and_then(|t| parse_value(t))?;
+                    // .tran [tstep] tstop: a third value would be TSTART
+                    // and a fourth TMAX, neither of which is honoured.
+                    let tstop = match tokens.len() {
+                        2 | 3 => parse_value(&tokens[tokens.len() - 1])?,
+                        1 => return Err(bad(".tran needs a stop time")),
+                        _ => {
+                            return Err(bad(
+                                ".tran takes [tstep] tstop; TSTART and TMAX are unsupported",
+                            ))
+                        }
+                    };
                     directives.push(Directive::Tran { tstop });
                 }
                 "DC" => {
@@ -711,6 +716,9 @@ pub fn parse_deck<F: DeviceFactory>(text: &str, factory: &F) -> Result<ParsedDec
                 let cp = node_of(&tokens[3]);
                 let cm = node_of(&tokens[4]);
                 let gain = parse_value(&tokens[5])?;
+                if !gain.is_finite() {
+                    return Err(bad("gain must be finite"));
+                }
                 if kind == 'E' {
                     ckt.vcvs(op, om, cp, cm, gain);
                 } else {

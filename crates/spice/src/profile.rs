@@ -43,11 +43,6 @@ pub struct SolveProfile {
     pub force_backward_euler: bool,
     /// Pin the MNA matrix backend instead of the size-based default.
     pub matrix_backend: Option<MatrixBackend>,
-    /// Disable structure-of-arrays batched device evaluation and load
-    /// every device instance one at a time through virtual dispatch, the
-    /// pre-batching code path verbatim. Differential testing pins this to
-    /// prove the batched path bitwise identical.
-    pub scalar_device_eval: bool,
     /// Override the unknown-count threshold at or above which the sparse
     /// backend computes a fill-reducing column ordering (default
     /// `stamp::ORDERING_LIMIT`). `Some(0)` forces the ordering for every
@@ -89,7 +84,6 @@ thread_local! {
         force_source_stepping: false,
         force_backward_euler: false,
         matrix_backend: None,
-        scalar_device_eval: false,
         ordering_limit: None,
     }) };
 }

@@ -145,13 +145,9 @@ counter_table! {
     /// Linear-circuit solves that reused the previous factorization
     /// outright (RHS-only re-solve).
     bypass_solves: BypassSolves = "bypass", optional;
-    /// Assemblies whose device loads went through the structure-of-arrays
-    /// batched evaluation path (zero when the circuit has no batchable
-    /// devices or [`SolveProfile::scalar_device_eval`] pins the scalar
-    /// path).
-    ///
-    /// [`SolveProfile::scalar_device_eval`]:
-    ///     crate::profile::SolveProfile::scalar_device_eval
+    /// Assemblies that evaluated at least one batch lane through the
+    /// structure-of-arrays path (zero when the circuit has no device with
+    /// a batch key).
     batched_evals: BatchedEvals = "batched", optional;
     /// Wall-clock nanoseconds spent loading devices during assembly
     /// (gather + model evaluation + Jacobian/residual scatter). Exactly

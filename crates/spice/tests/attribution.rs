@@ -1,28 +1,30 @@
 //! Eval/solve attribution counters: `device_eval_ns` and `batched_evals`
 //! must be exactly zero on decks without devices (the device section is
 //! never entered, so no timestamp is ever taken), nonzero where batched
-//! device work actually happens, and pinned off by `scalar_device_eval`
-//! without disturbing the solve counters. A sparse device deck must also
-//! engage the incremental linear-algebra fast path: slot-cache hits,
-//! symbolic LU reuses, and no more refactor fallbacks than factorizations.
+//! device work actually happens, and — for devices without a batch key —
+//! zero batched passes while their load time is still attributed. A
+//! sparse device deck must also engage the incremental linear-algebra
+//! fast path: slot-cache hits, symbolic LU reuses, and no more refactor
+//! fallbacks than factorizations.
 
 use nemscmos_spice::analysis::op::op;
 use nemscmos_spice::analysis::tran::{transient, TranOptions};
 use nemscmos_spice::circuit::Circuit;
 use nemscmos_spice::device::{batch_key_word, Device, LoadContext, Solution, BATCH_KEY_SEED};
 use nemscmos_spice::element::NodeId;
-use nemscmos_spice::profile::{self, SolveProfile};
 use nemscmos_spice::stamp::Stamper;
 use nemscmos_spice::stats;
 use nemscmos_spice::waveform::Waveform;
 
-/// A minimal batchable nonlinear shunt: i = k·v² to ground. Only the key
-/// is overridden — the default `batch_scatter` delegates to `load`, which
-/// is exactly the degenerate batch member the engine must also handle.
+/// A minimal nonlinear shunt: i = k·v² to ground, batchable when
+/// `keyed`. Only the key is overridden — the default `batch_scatter`
+/// delegates to `load`, which is exactly the degenerate batch member the
+/// engine must also handle.
 #[derive(Debug)]
 struct SquareLaw {
     node: NodeId,
     k: f64,
+    keyed: bool,
 }
 
 impl Device for SquareLaw {
@@ -43,21 +45,32 @@ impl Device for SquareLaw {
     }
     fn reset_state(&mut self) {}
     fn batch_key(&self) -> Option<u64> {
-        Some(batch_key_word(BATCH_KEY_SEED, self.k.to_bits()))
+        self.keyed
+            .then(|| batch_key_word(BATCH_KEY_SEED, self.k.to_bits()))
     }
 }
 
 /// Driven RC with a square-law shunt: nonlinear, so every Newton
 /// iteration runs the device section and a real factorization.
 fn device_deck() -> Circuit {
+    shunt_deck(true)
+}
+
+/// [`device_deck`] with its two shunts batchable only when `keyed`.
+fn shunt_deck(keyed: bool) -> Circuit {
     let mut ckt = Circuit::new();
     let vin = ckt.node("in");
     let out = ckt.node("out");
     ckt.vsource(vin, Circuit::GROUND, Waveform::step(0.0, 1.0, 0.0, 1e-12));
     ckt.resistor(vin, out, 1e3);
     ckt.capacitor(out, Circuit::GROUND, 1e-9);
-    ckt.add_device(SquareLaw { node: out, k: 1e-3 });
-    ckt.add_device(SquareLaw { node: out, k: 1e-3 });
+    for _ in 0..2 {
+        ckt.add_device(SquareLaw {
+            node: out,
+            k: 1e-3,
+            keyed,
+        });
+    }
     ckt
 }
 
@@ -125,19 +138,13 @@ fn linear_decks_record_zero_device_attribution() {
 }
 
 #[test]
-fn scalar_pin_disables_batching_but_not_attribution() {
-    let mut ckt = device_deck();
-    let pin = SolveProfile {
-        scalar_device_eval: true,
-        ..Default::default()
-    };
-    let (_, spent) = profile::with(pin, || {
-        stats::measure(|| transient(&mut ckt, 1e-6, &tran_opts()).unwrap())
-    });
+fn keyless_devices_skip_batching_but_not_attribution() {
+    let mut ckt = shunt_deck(false);
+    let (_, spent) = stats::measure(|| transient(&mut ckt, 1e-6, &tran_opts()).unwrap());
     assert!(spent.newton_iterations > 0);
-    assert_eq!(spent.batched_evals, 0, "scalar pin must suppress batching");
-    // The eval/solve brackets time the section regardless of which path
-    // runs inside it.
+    assert_eq!(spent.batched_evals, 0, "no batch key, no batched pass");
+    // The eval/solve brackets time the section whether its devices
+    // scatter batch lanes or load themselves.
     assert!(spent.device_eval_ns > 0);
     assert!(spent.linear_solve_ns > 0);
 }
@@ -156,7 +163,11 @@ fn sparse_device_ladder_engages_the_incremental_fast_path() {
         let node = ckt.node(&format!("n{k}"));
         ckt.resistor(prev, node, 1e3);
         ckt.capacitor(node, Circuit::GROUND, 1e-12);
-        ckt.add_device(SquareLaw { node, k: 1e-4 });
+        ckt.add_device(SquareLaw {
+            node,
+            k: 1e-4,
+            keyed: true,
+        });
         prev = node;
     }
     ckt.validate().unwrap();

@@ -166,6 +166,39 @@ fn element_arity_errors_name_the_expected_shape() {
 }
 
 #[test]
+fn controlled_sources_with_non_finite_gain_are_rejected() {
+    for card in ["E1 b 0 a 0 1e400", "G1 b 0 a 0 1e400", "E1 b 0 a 0 -1e400"] {
+        let deck = format!("V1 a 0 DC 1\nR1 b 0 1k\n{card}\n.op\n");
+        let err = parse_deck(&deck, &NoDevices).unwrap_err();
+        let msg = err.to_string();
+        assert!(
+            msg.contains(card) && msg.contains("gain must be finite"),
+            "{card}: {msg}"
+        );
+    }
+}
+
+#[test]
+fn tran_with_tstart_or_tmax_is_rejected() {
+    use nemscmos_spice::netlist::Directive;
+    let deck = |tran: &str| format!("V1 a 0 DC 1\nR1 a 0 1k\n{tran}\n");
+    for tran in [".tran 1n 10n 5n", ".tran 1n 10n 0 1p"] {
+        let err = parse_deck(&deck(tran), &NoDevices).unwrap_err();
+        let msg = err.to_string();
+        assert!(
+            msg.contains(tran) && msg.contains("TSTART and TMAX are unsupported"),
+            "{tran}: {msg}"
+        );
+    }
+    let err = parse_deck(&deck(".tran"), &NoDevices).unwrap_err();
+    assert!(err.to_string().contains("needs a stop time"), "{err}");
+    for (tran, tstop) in [(".tran 10n", 10e-9), (".tran 1n 10n", 10e-9)] {
+        let parsed = parse_deck(&deck(tran), &NoDevices).unwrap();
+        assert_eq!(parsed.directives, [Directive::Tran { tstop }], "{tran}");
+    }
+}
+
+#[test]
 fn ac_sweeps_with_bad_numbers_are_rejected() {
     let deck = |ac: &str| format!("V1 in 0 DC 1\nR1 in 0 1k\n{ac}\n");
     let cases = [

@@ -314,10 +314,10 @@ pub fn dense_vs_sparse(deck: &Deck) -> Result<(), Divergence> {
 /// ordered side to `Some(0)`, which forces it on every deck (the goldens
 /// are all below the size threshold).
 ///
-/// Unlike `batched_vs_scalar` this is a tolerance comparison, not a byte
-/// comparison: permuting the elimination order changes the partial-pivot
-/// sequence, so the two factorizations round differently at the last
-/// ulp and the adaptive controller can amplify that slightly.
+/// This is a tolerance comparison, not a byte comparison: permuting the
+/// elimination order changes the partial-pivot sequence, so the two
+/// factorizations round differently at the last ulp and the adaptive
+/// controller can amplify that slightly.
 ///
 /// # Errors
 ///
@@ -346,76 +346,6 @@ pub fn ordered_vs_natural(deck: &Deck) -> Result<(), Divergence> {
     })
 }
 
-/// The structure-of-arrays batched device-evaluation path must be
-/// *bitwise identical* to the one-instance-at-a-time path it replaces:
-/// the rendered JSON snapshot of every deck must not change by a single
-/// byte when batching is disabled via
-/// [`SolveProfile::scalar_device_eval`].
-///
-/// # Errors
-///
-/// A message naming the deck and the rendered sizes when the artifacts
-/// differ.
-///
-/// [`SolveProfile::scalar_device_eval`]: nemscmos_spice::profile::SolveProfile::scalar_device_eval
-pub fn batched_vs_scalar(deck: &Deck) -> Result<(), String> {
-    let batched = snapshot_json(deck).render();
-    let scalar = profile::with(
-        SolveProfile {
-            scalar_device_eval: true,
-            ..Default::default()
-        },
-        || snapshot_json(deck).render(),
-    );
-    if batched != scalar {
-        return Err(format!(
-            "deck `{}` differs between the batched and scalar device-eval \
-             paths ({} vs {} rendered bytes)",
-            deck.name,
-            batched.len(),
-            scalar.len()
-        ));
-    }
-    Ok(())
-}
-
-/// [`batched_vs_scalar`] with a seeded fault plan installed identically
-/// around both runs: a mild Jacobian perturbation keeps the residual
-/// exact (so both paths still converge to the true solution) while
-/// forcing extra Newton iterations through the fault machinery. Both
-/// paths must see the identical fault stream and produce byte-identical
-/// snapshots.
-///
-/// # Errors
-///
-/// A message naming the deck when the faulted artifacts differ.
-pub fn batched_vs_scalar_faulted(deck: &Deck, seed: u64) -> Result<(), String> {
-    use nemscmos_spice::faults::{self, Disarm, FaultKind, FaultPlan};
-    let plan = FaultPlan::immediate(
-        FaultKind::JacobianPerturb { relative: 1e-4 },
-        Disarm::AfterTriggers(5),
-        seed,
-    );
-    let batched = faults::with(plan, || snapshot_json(deck).render());
-    let scalar = profile::with(
-        SolveProfile {
-            scalar_device_eval: true,
-            ..Default::default()
-        },
-        || faults::with(plan, || snapshot_json(deck).render()),
-    );
-    if batched != scalar {
-        return Err(format!(
-            "deck `{}` (fault seed {seed}) differs between the batched and \
-             scalar device-eval paths ({} vs {} rendered bytes)",
-            deck.name,
-            batched.len(),
-            scalar.len()
-        ));
-    }
-    Ok(())
-}
-
 /// A deck's waveforms rendered as canonical JSON (times plus one value
 /// array per observed node), decimated to a fixed grid so artifacts are
 /// small and digest-stable.
@@ -440,6 +370,23 @@ pub fn snapshot_json(deck: &Deck) -> Json {
         ));
     }
     Json::Obj(fields)
+}
+
+/// Seeds of the fault plans the faulted golden snapshots run under.
+pub const FAULT_SEEDS: [u64; 2] = [7, 1913];
+
+/// [`snapshot_json`] under a seeded fault plan: a mild Jacobian
+/// perturbation keeps the residual exact (so the solve still converges
+/// to the true solution) while forcing extra Newton iterations through
+/// the fault machinery, whose stream the snapshot then pins.
+pub fn faulted_snapshot_json(deck: &Deck, seed: u64) -> Json {
+    use nemscmos_spice::faults::{self, Disarm, FaultKind, FaultPlan};
+    let plan = FaultPlan::immediate(
+        FaultKind::JacobianPerturb { relative: 1e-4 },
+        Disarm::AfterTriggers(5),
+        seed,
+    );
+    faults::with(plan, || snapshot_json(deck))
 }
 
 /// Opaque JSON artifact for harness jobs (`run` needs a codec).

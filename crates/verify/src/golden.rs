@@ -1,7 +1,10 @@
 //! Committed golden waveform snapshots.
 //!
 //! Every deck in [`diff::decks`] renders a canonical, decimated JSON
-//! artifact ([`diff::snapshot_json`]). The blessed copies live in
+//! artifact ([`diff::snapshot_json`]), once clean and once under each
+//! seeded fault plan of [`diff::FAULT_SEEDS`]
+//! ([`diff::faulted_snapshot_json`], named `<deck>.fault<seed>`). The
+//! blessed copies live in
 //! `crates/verify/golden/*.json`; [`check`] demands a byte-for-byte
 //! match, and [`bless`] rewrites them. CI runs check mode (via
 //! `cargo run -p nemscmos-verify --bin golden`); a developer who
@@ -18,10 +21,11 @@ use std::path::{Path, PathBuf};
 
 use crate::diff;
 
-/// One named golden artifact: the deck name and its rendered JSON.
+/// One named golden artifact: its name and its rendered JSON.
 pub struct Artifact {
-    /// Deck name (also the file stem under `golden/`).
-    pub name: &'static str,
+    /// Deck name, plus `.fault<seed>` for a faulted run (also the file
+    /// stem under `golden/`).
+    pub name: String,
     /// Canonical rendered JSON, trailing newline included.
     pub rendered: String,
 }
@@ -31,15 +35,21 @@ pub fn golden_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("golden")
 }
 
-/// Renders every deck's artifact (runs the simulations).
+/// Renders every deck's clean and faulted artifacts (runs the
+/// simulations).
 pub fn artifacts() -> Vec<Artifact> {
-    diff::decks()
-        .iter()
-        .map(|d| Artifact {
-            name: d.name,
-            rendered: diff::snapshot_json(d).render() + "\n",
+    let fleet = diff::decks();
+    let clean = fleet.iter().map(|d| Artifact {
+        name: d.name.to_string(),
+        rendered: diff::snapshot_json(d).render() + "\n",
+    });
+    let faulted = fleet.iter().flat_map(|d| {
+        diff::FAULT_SEEDS.map(|seed| Artifact {
+            name: format!("{}.fault{seed}", d.name),
+            rendered: diff::faulted_snapshot_json(d, seed).render() + "\n",
         })
-        .collect()
+    });
+    clean.chain(faulted).collect()
 }
 
 /// Result of checking one artifact against its blessed copy.
@@ -82,7 +92,7 @@ pub fn check() -> Vec<(String, Drift)> {
         .iter()
         .filter_map(|a| match check_one(a) {
             Drift::Match => None,
-            drift => Some((a.name.to_string(), drift)),
+            drift => Some((a.name.clone(), drift)),
         })
         .collect()
 }
@@ -121,7 +131,7 @@ mod tests {
     #[test]
     fn check_one_reports_missing_for_unknown_artifact() {
         let art = Artifact {
-            name: "no-such-deck",
+            name: "no-such-deck".into(),
             rendered: "{}\n".into(),
         };
         assert_eq!(check_one(&art), Drift::Missing);

@@ -32,25 +32,6 @@ fn ordered_and_natural_sparse_factorization_agree_on_every_deck() {
 }
 
 #[test]
-fn batched_and_scalar_device_eval_are_bitwise_identical_on_every_deck() {
-    for deck in diff::decks() {
-        diff::batched_vs_scalar(&deck).unwrap_or_else(|msg| panic!("{msg}"));
-    }
-}
-
-#[test]
-fn batched_and_scalar_device_eval_agree_under_seeded_fault_plans() {
-    // Device-bearing decks only: the fault machinery also disables the
-    // linear-circuit bypass, and the perturbation stream must line up
-    // iteration-for-iteration between the two eval paths.
-    for deck in diff::decks() {
-        for seed in [7, 1913] {
-            diff::batched_vs_scalar_faulted(&deck, seed).unwrap_or_else(|msg| panic!("{msg}"));
-        }
-    }
-}
-
-#[test]
 fn harness_thread_count_is_bitwise_invisible() {
     diff::thread_identity(4).unwrap();
 }

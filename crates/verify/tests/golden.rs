@@ -3,7 +3,7 @@
 //! `cargo run -p nemscmos-verify --bin golden -- --bless`) to refresh
 //! them after an intentional solver change.
 
-use nemscmos_verify::golden;
+use nemscmos_verify::{diff, golden};
 
 #[test]
 fn committed_snapshots_match_current_engine() {
@@ -22,9 +22,13 @@ fn committed_snapshots_match_current_engine() {
 
 #[test]
 fn every_deck_has_a_snapshot_slot() {
-    // The artifact set must cover the whole differential fleet.
-    let names: Vec<&str> = golden::artifacts().iter().map(|a| a.name).collect();
-    for deck in nemscmos_verify::diff::decks() {
-        assert!(names.contains(&deck.name), "deck `{}` missing", deck.name);
+    // The artifact set must cover the whole differential fleet, clean
+    // and under every fault seed.
+    let names: Vec<String> = golden::artifacts().into_iter().map(|a| a.name).collect();
+    for deck in diff::decks() {
+        let faulted = diff::FAULT_SEEDS.map(|seed| format!("{}.fault{seed}", deck.name));
+        for name in std::iter::once(deck.name.to_string()).chain(faulted) {
+            assert!(names.contains(&name), "snapshot `{name}` missing");
+        }
     }
 }
