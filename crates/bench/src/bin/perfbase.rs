@@ -20,8 +20,10 @@
 //! `--smoke` runs the two smallest SRAM sizes plus one domino tree
 //! without writing the file, asserting the ordering never worsens fill
 //! wherever both orders are measured, both factorizations solve to small
-//! residual, and the transient records fill/ordering attribution.
-//! `ci.sh` runs it.
+//! residual, the transient records fill/ordering attribution, and a
+//! sparse transient (sram-8x8, 178 unknowns) writes its device lanes
+//! through their resolved slots with no lane falling back to the
+//! per-push route. `ci.sh` runs it.
 
 use std::process::ExitCode;
 use std::time::Instant;
@@ -223,9 +225,10 @@ fn scaling_decks(smoke: bool) -> Vec<(GenDeck, bool)> {
 }
 
 /// The scaling smoke contract: ordering never worsens fill where both
-/// orders are measured, every factorization solves accurately, and the
+/// orders are measured, every factorization solves accurately, the
 /// transient records the new attribution counters on decks above the
-/// ordering threshold.
+/// ordering threshold, and sparse transients resolve every device lane
+/// with no per-push fallback.
 fn scaling_violations(points: &[ScalingPoint]) -> Vec<String> {
     let mut violations = Vec::new();
     for p in points {
@@ -248,6 +251,16 @@ fn scaling_violations(points: &[ScalingPoint]) -> Vec<String> {
                     "{}: transient above the ordering threshold recorded \
                      fill_nnz={} ordering_ns={}",
                     p.name, st.fill_nnz, st.ordering_ns
+                ));
+            }
+            // Above the dense limit every lane is resolved once per
+            // freeze and then written straight into its slots: a lane on
+            // the per-push route after that is a silent slow path.
+            if p.unknowns > 64 && (st.resolved_lanes == 0 || st.lane_fallbacks > 0) {
+                violations.push(format!(
+                    "{}: sparse transient wrote {} lanes through resolved slots \
+                     and sent {} back to the per-push route",
+                    p.name, st.resolved_lanes, st.lane_fallbacks
                 ));
             }
         }

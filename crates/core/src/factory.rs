@@ -7,7 +7,7 @@ use nemscmos_devices::mosfet::Mosfet;
 use nemscmos_devices::nemfet::Nemfet;
 use nemscmos_spice::device::Device;
 use nemscmos_spice::element::NodeId;
-use nemscmos_spice::netlist::DeviceFactory;
+use nemscmos_spice::netlist::{DeviceFactory, FactoryError};
 
 use crate::tech::Technology;
 
@@ -76,67 +76,36 @@ impl DeviceFactory for StandardFactory {
         model: &str,
         nodes: &[NodeId],
         params: &HashMap<String, f64>,
-    ) -> Option<Box<dyn Device>> {
-        if nodes.len() != 3 {
-            return None;
-        }
-        let (d, g, s) = (nodes[0], nodes[1], nodes[2]);
+    ) -> Result<Box<dyn Device>, FactoryError> {
+        let tech = &self.tech;
+        let (mos, nems) = match model.to_ascii_lowercase().as_str() {
+            "nmos90" => (Some(&tech.nmos), None),
+            "pmos90" => (Some(&tech.pmos), None),
+            "nmos90hvt" => (Some(&tech.nmos_hvt), None),
+            "pmos90hvt" => (Some(&tech.pmos_hvt), None),
+            "nems90n" => (None, Some(&tech.nems_n)),
+            "nems90p" => (None, Some(&tech.nems_p)),
+            _ => return Err(FactoryError::UnknownModel),
+        };
+        let &[d, g, s] = nodes else {
+            return Err(FactoryError::Rejected(format!(
+                "needs 3 terminals (drain gate source), got {}",
+                nodes.len()
+            )));
+        };
         // SPICE widths are metres; the models take µm.
         let width_um = params.get("W").map_or(1.0, |w| w * 1e6);
         if !(width_um.is_finite() && width_um > 0.0) {
-            return None;
+            return Err(FactoryError::Rejected(format!(
+                "W must be positive and finite, got {}",
+                params.get("W").copied().unwrap_or_default()
+            )));
         }
-        match model.to_ascii_lowercase().as_str() {
-            "nmos90" => Some(Box::new(Mosfet::new(
-                name,
-                self.tech.nmos.clone(),
-                d,
-                g,
-                s,
-                width_um,
-            ))),
-            "pmos90" => Some(Box::new(Mosfet::new(
-                name,
-                self.tech.pmos.clone(),
-                d,
-                g,
-                s,
-                width_um,
-            ))),
-            "nmos90hvt" => Some(Box::new(Mosfet::new(
-                name,
-                self.tech.nmos_hvt.clone(),
-                d,
-                g,
-                s,
-                width_um,
-            ))),
-            "pmos90hvt" => Some(Box::new(Mosfet::new(
-                name,
-                self.tech.pmos_hvt.clone(),
-                d,
-                g,
-                s,
-                width_um,
-            ))),
-            "nems90n" => Some(Box::new(Nemfet::new(
-                name,
-                self.tech.nems_n.clone(),
-                d,
-                g,
-                s,
-                width_um,
-            ))),
-            "nems90p" => Some(Box::new(Nemfet::new(
-                name,
-                self.tech.nems_p.clone(),
-                d,
-                g,
-                s,
-                width_um,
-            ))),
-            _ => None,
-        }
+        Ok(match (mos, nems) {
+            (Some(card), _) => Box::new(Mosfet::new(name, card.clone(), d, g, s, width_um)),
+            (_, Some(card)) => Box::new(Nemfet::new(name, card.clone(), d, g, s, width_um)),
+            (None, None) => unreachable!("every model names a card"),
+        })
     }
 }
 
@@ -188,17 +157,53 @@ C1 d 0 1f
             &[NodeId::GROUND, NodeId::GROUND, NodeId::GROUND],
             &HashMap::new(),
         );
-        assert!(dev.is_some());
+        assert!(dev.is_ok());
     }
 
     #[test]
     fn unknown_model_and_bad_terminals_rejected() {
         let f = StandardFactory::n90();
-        assert!(f
-            .make("M1", "bsim4", &[NodeId::GROUND; 3], &HashMap::new())
-            .is_none());
-        assert!(f
-            .make("M1", "nmos90", &[NodeId::GROUND; 4], &HashMap::new())
-            .is_none());
+        let made = |model: &str, pins: usize, w: Option<f64>| {
+            let params: HashMap<String, f64> =
+                w.map(|w| ("W".to_string(), w)).into_iter().collect();
+            f.make("M1", model, &vec![NodeId::GROUND; pins], &params)
+                .map(|_| ())
+        };
+        assert_eq!(made("bsim4", 3, None), Err(FactoryError::UnknownModel));
+        // An unknown model stays unknown whatever its pin count.
+        assert_eq!(made("bsim4", 4, None), Err(FactoryError::UnknownModel));
+        let pins = made("nmos90", 4, None).unwrap_err();
+        assert!(
+            matches!(&pins, FactoryError::Rejected(r) if r.contains("3 terminals") && r.contains("got 4")),
+            "{pins:?}"
+        );
+        for w in [0.0, -1e-6, f64::NAN] {
+            let width = made("nems90n", 3, Some(w)).unwrap_err();
+            assert!(
+                matches!(&width, FactoryError::Rejected(r) if r.contains("W must be positive")),
+                "W={w}: {width:?}"
+            );
+        }
+        assert_eq!(made("pmos90hvt", 3, Some(2e-6)), Ok(()));
+    }
+
+    #[test]
+    fn netlist_errors_name_the_width_or_the_pin_count() {
+        let parse = |card: &str| {
+            let deck = format!(".model p nmos90 W=0\nV1 d 0 DC 1\n{card}\n.op\n");
+            parse_deck(&deck, &StandardFactory::n90())
+                .map(drop)
+                .unwrap_err()
+                .to_string()
+        };
+        let msg = parse("M1 d d 0 p");
+        assert!(msg.contains("W must be positive"), "{msg}");
+        assert!(msg.contains("via .MODEL 'p'"), "{msg}");
+        assert!(!msg.contains("unknown"), "{msg}");
+        let msg = parse("M1 d d 0 0 nmos90");
+        assert!(msg.contains("3 terminals"), "{msg}");
+        assert!(!msg.contains("unknown"), "{msg}");
+        let msg = parse("M1 d d 0 bsim4");
+        assert!(msg.contains("unknown device model 'bsim4'"), "{msg}");
     }
 }

@@ -1,6 +1,6 @@
 //! MNA device wrapper for the EKV MOSFET.
 
-use nemscmos_spice::device::{batch_key_word, Device, EvalBatch, LoadContext, Solution};
+use nemscmos_spice::device::{batch_key_word, Col, Device, EvalBatch, Lane, LoadContext, Solution};
 use nemscmos_spice::element::NodeId;
 use nemscmos_spice::stamp::Stamper;
 
@@ -94,15 +94,27 @@ impl Device for Mosfet {
         Some(batch_key_word(self.model.eval_fingerprint(), 1))
     }
 
-    fn batch_gather(&self, x: &Solution<'_>, batch: &mut EvalBatch) {
-        batch.vin[0].push(x.v(self.g));
-        batch.vin[1].push(x.v(self.d));
-        batch.vin[2].push(x.v(self.s));
-        batch.vin[3].push(self.width_um);
+    fn lane(&self) -> Option<Lane> {
+        let mut lane = Lane::new();
+        for n in [self.g, self.d, self.s] {
+            lane.voltage(n);
+        }
+        lane.constant(self.width_um);
+        lane.nonlinear_current(
+            self.d,
+            self.s,
+            Col::Out(0),
+            &[
+                (self.g, Col::Out(1)),
+                (self.d, Col::Out(2)),
+                (self.s, Col::Out(3)),
+            ],
+        );
+        Some(lane)
     }
 
     fn batch_eval(&self, _ctx: &LoadContext, batch: &mut EvalBatch) {
-        let [vg, vd, vs, w] = &batch.vin;
+        let [vg, vd, vs, w, _] = &batch.vin;
         for (((&vg, &vd), &vs), &w) in vg.iter().zip(vd).zip(vs).zip(w) {
             let (i, dg, dd, ds) = self.model.ids(vg, vd, vs, w);
             batch.out[0].push(i);
@@ -110,26 +122,6 @@ impl Device for Mosfet {
             batch.out[2].push(dd);
             batch.out[3].push(ds);
         }
-    }
-
-    fn batch_scatter(
-        &self,
-        lane: usize,
-        batch: &EvalBatch,
-        _x: &Solution<'_>,
-        _ctx: &LoadContext,
-        st: &mut Stamper,
-    ) {
-        st.nonlinear_current(
-            self.d,
-            self.s,
-            batch.out[0][lane],
-            &[
-                (self.g, batch.out[1][lane]),
-                (self.d, batch.out[2][lane]),
-                (self.s, batch.out[3][lane]),
-            ],
-        );
     }
 }
 

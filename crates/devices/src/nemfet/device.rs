@@ -1,6 +1,8 @@
 //! Quasi-static (hysteretic switch) NEMFET device.
 
-use nemscmos_spice::device::{batch_key_word, Device, EvalBatch, LoadContext, Mode, Solution};
+use nemscmos_spice::device::{
+    batch_key_word, Col, Device, EvalBatch, Lane, LoadContext, Mode, Solution,
+};
 use nemscmos_spice::element::NodeId;
 use nemscmos_spice::stamp::Stamper;
 
@@ -166,24 +168,40 @@ impl Device for Nemfet {
     fn batch_key(&self) -> Option<u64> {
         // Type tag 2 (vs. the Mosfet's 1). Only the contact-state EKV
         // card enters `batch_eval`; the leakage conductance, hysteresis
-        // thresholds, and mechanical state are all per-instance and read
-        // from `self` during scatter/commit, so they stay out of the key
-        // — beams in different pull-in states share a batch via `bin`.
+        // thresholds, and mechanical state are all per-instance (the lane
+        // carries the leak conductance and the contact bit), so they stay
+        // out of the key — beams in different pull-in states share a
+        // batch via `bin`.
         Some(batch_key_word(self.model.contact.eval_fingerprint(), 2))
     }
 
-    fn batch_gather(&self, x: &Solution<'_>, batch: &mut EvalBatch) {
-        batch.vin[0].push(x.v(self.g));
-        batch.vin[1].push(x.v(self.d));
-        batch.vin[2].push(x.v(self.s));
-        batch.vin[3].push(self.width_um);
-        batch.bin.push(self.state.pulled_in);
+    fn lane(&self) -> Option<Lane> {
+        let mut lane = Lane::new();
+        for n in [self.g, self.d, self.s] {
+            lane.voltage(n);
+        }
+        lane.constant(self.width_um);
+        let g_off = lane.constant(self.model.g_off_per_um * self.width_um);
+        lane.conductance(self.d, self.s, Col::Out(4), g_off);
+        // The channel stamps only while the beam is in contact.
+        lane.contact(self.state.pulled_in);
+        lane.nonlinear_current(
+            self.d,
+            self.s,
+            Col::Out(0),
+            &[
+                (self.g, Col::Out(1)),
+                (self.d, Col::Out(2)),
+                (self.s, Col::Out(3)),
+            ],
+        );
+        Some(lane)
     }
 
     fn batch_eval(&self, _ctx: &LoadContext, batch: &mut EvalBatch) {
-        let [vg, vd, vs, w] = &batch.vin;
-        let lanes = vg.iter().zip(vd).zip(vs).zip(w).zip(&batch.bin);
-        for ((((&vg, &vd), &vs), &w), &closed) in lanes {
+        let [vg, vd, vs, w, g_off] = &batch.vin;
+        let lanes = vg.iter().zip(vd).zip(vs).zip(w).zip(g_off).zip(&batch.bin);
+        for (((((&vg, &vd), &vs), &w), &g_off), &closed) in lanes {
             // Released lanes stamp no channel current; push zeros to keep
             // the output columns lane-aligned.
             let (i, dg, dd, ds) = if closed {
@@ -195,30 +213,8 @@ impl Device for Nemfet {
             batch.out[1].push(dg);
             batch.out[2].push(dd);
             batch.out[3].push(ds);
-        }
-    }
-
-    fn batch_scatter(
-        &self,
-        lane: usize,
-        batch: &EvalBatch,
-        x: &Solution<'_>,
-        _ctx: &LoadContext,
-        st: &mut Stamper,
-    ) {
-        let g_off = self.model.g_off_per_um * self.width_um;
-        st.conductance(self.d, self.s, g_off, x.v(self.d), x.v(self.s));
-        if self.state.pulled_in {
-            st.nonlinear_current(
-                self.d,
-                self.s,
-                batch.out[0][lane],
-                &[
-                    (self.g, batch.out[1][lane]),
-                    (self.d, batch.out[2][lane]),
-                    (self.s, batch.out[3][lane]),
-                ],
-            );
+            // The leak current `Stamper::conductance` would stamp.
+            batch.out[4].push(g_off * (vd - vs));
         }
     }
 }

@@ -14,9 +14,12 @@
 //!   so each loads through the scalar `load`), comparing every sampled
 //!   voltage bitwise — including decks whose gate drives cross
 //!   `v_pull_in`, exercising the discrete pull-in re-solve and the
-//!   commit/reset state machine.
+//!   commit/reset state machine. It runs on the default (dense) backend
+//!   and again pinned to the frozen, ordered sparse path, where lanes
+//!   write straight into their resolved CSC slots.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use nemscmos_devices::mosfet::{MosModel, Mosfet, Polarity, HIGH_VT_SHIFT};
 use nemscmos_devices::nemfet::{DynamicNemfet, MechanicalParams, Nemfet, NemsModel};
@@ -27,7 +30,7 @@ use nemscmos_numeric::prop_check;
 use nemscmos_spice::analysis::op::op;
 use nemscmos_spice::analysis::tran::{transient, TranOptions};
 use nemscmos_spice::circuit::Circuit;
-use nemscmos_spice::device::{Device, EvalBatch, LoadContext, Solution};
+use nemscmos_spice::device::{Device, EvalBatch, Lane, LoadContext, Solution};
 use nemscmos_spice::element::NodeId;
 use nemscmos_spice::profile::{self, MatrixBackend, SolveProfile};
 use nemscmos_spice::stamp::{StampSection, Stamper};
@@ -223,8 +226,9 @@ fn scalar_stamps(
 }
 
 /// Rebuilds the engine's batch plan by hand (first-seen key order, lane =
-/// arrival order within a batch) and stamps through gather → shared eval →
-/// per-device scatter, falling back to `load` for keyless devices.
+/// arrival order within a batch) and stamps through each device's lane
+/// description: gather → shared eval → the per-push route, falling back
+/// to `load` for keyless devices.
 fn batched_stamps(
     devices: &[Box<dyn Device>],
     x: &[f64],
@@ -245,22 +249,26 @@ fn batched_stamps(
             batches[b].push(i);
         }
     }
+    let lanes: Vec<Option<Lane>> = devices.iter().map(|dev| dev.lane()).collect();
     let mut scratch: Vec<EvalBatch> = Vec::new();
     scratch.resize_with(batches.len(), EvalBatch::new);
     for (b, members) in batches.iter().enumerate() {
         let batch = &mut scratch[b];
         batch.clear();
         for &i in members {
-            devices[i].batch_gather(&sol, batch);
+            lanes[i]
+                .as_ref()
+                .expect("keyed devices describe a lane")
+                .gather(&sol, batch);
         }
         devices[members[0]].batch_eval(&ctx, batch);
     }
     let mut st = Stamper::new(n);
     for (i, dev) in devices.iter().enumerate() {
         st.set_section(StampSection::Device(i));
-        match membership[i] {
-            Some((b, lane)) => dev.batch_scatter(lane, &scratch[b], &sol, &ctx, &mut st),
-            None => dev.load(&sol, &ctx, &mut st),
+        match (membership[i], &lanes[i]) {
+            (Some((b, lane)), Some(desc)) => desc.stamp(&scratch[b], lane, &mut st),
+            _ => dev.load(&sol, &ctx, &mut st),
         }
     }
     collect(&st)
@@ -432,11 +440,11 @@ fn ckt_spec(d: &mut Draws) -> CktSpec {
     }
 }
 
-/// Forwards every [`Device`] method to the wrapped device except
-/// `batch_key`, which keeps its default `None`: the engine's batch plan
-/// leaves the instance out of every chunk, so it loads through the
-/// scalar [`Device::load`] — the reference side of the end-to-end
-/// property.
+/// Forwards every [`Device`] method to the wrapped device except the
+/// batching hooks, which keep their defaults (no key, no lane): the
+/// engine's batch plan leaves the instance out of every chunk, so it
+/// loads through the scalar [`Device::load`] — the reference side of the
+/// end-to-end properties.
 #[derive(Debug)]
 struct Unbatched<D: Device>(D);
 
@@ -461,22 +469,6 @@ impl<D: Device> Device for Unbatched<D> {
     }
     fn initial_guess(&self, x: &mut [f64]) {
         self.0.initial_guess(x);
-    }
-    fn batch_gather(&self, x: &Solution<'_>, batch: &mut EvalBatch) {
-        self.0.batch_gather(x, batch);
-    }
-    fn batch_eval(&self, ctx: &LoadContext, batch: &mut EvalBatch) {
-        self.0.batch_eval(ctx, batch);
-    }
-    fn batch_scatter(
-        &self,
-        lane: usize,
-        batch: &EvalBatch,
-        x: &Solution<'_>,
-        ctx: &LoadContext,
-        st: &mut Stamper,
-    ) {
-        self.0.batch_scatter(lane, batch, x, ctx, st);
     }
 }
 
@@ -562,32 +554,65 @@ fn run_chain(spec: &CktSpec, unbatched: bool) -> Result<Vec<u64>, String> {
     Ok(bits)
 }
 
+/// Runs `spec` as built and with every device [`Unbatched`], and checks
+/// that the two trajectories are bitwise equal and that only the built
+/// side batched. Returns the built side's solver effort.
+fn compare_chain(spec: &CktSpec) -> Result<stats::SolverStats, String> {
+    let (fast, batched) = stats::measure(|| run_chain(spec, false));
+    let (slow, unbatched) = stats::measure(|| run_chain(spec, true));
+    prop_check!(
+        batched.batched_evals > 0 && unbatched.batched_evals == 0,
+        "batched evals: {} as built, {} unbatched",
+        batched.batched_evals,
+        unbatched.batched_evals
+    );
+    prop_check!(
+        fast == slow,
+        "trajectories diverge between eval paths: fast {:?}… vs slow {:?}…",
+        fast.as_ref().map(|b| b.len()),
+        slow.as_ref().map(|b| b.len())
+    );
+    Ok(batched)
+}
+
 /// End to end, batched devices and their [`Unbatched`] twins produce
 /// bitwise-identical trajectories across op, transient, and post-reset
 /// re-solve — including drives that cross `v_pull_in` and flip the
 /// discrete NEMFET state mid-analysis.
+///
+/// Each case runs twice: on the default backend (the chains are far below
+/// the dense limit) and pinned to the frozen, ordered sparse path, where
+/// lanes written straight into their resolved CSC slots must stamp
+/// bitwise what `load` stamps push by push. There every case resolves its
+/// lanes, and NEMFET pull-in crossings make some cases thaw, re-freeze
+/// and re-resolve.
 #[test]
 fn batched_and_scalar_trajectories_are_bitwise_identical() {
+    let sparse = SolveProfile {
+        matrix_backend: Some(MatrixBackend::Sparse),
+        ordering_limit: Some(0),
+        ..Default::default()
+    };
+    let rethawed = AtomicUsize::new(0);
     check(
         "batched and scalar trajectories are bitwise identical",
         &Config::with_cases(24),
         ckt_spec,
         |spec| {
-            let (fast, batched) = stats::measure(|| run_chain(spec, false));
-            let (slow, unbatched) = stats::measure(|| run_chain(spec, true));
+            compare_chain(spec)?;
+            let frozen = profile::with(sparse, || compare_chain(spec))?;
             prop_check!(
-                batched.batched_evals > 0 && unbatched.batched_evals == 0,
-                "batched evals: {} as built, {} unbatched",
-                batched.batched_evals,
-                unbatched.batched_evals
+                frozen.resolved_lanes > 0,
+                "no lane was written through its resolved slots: {frozen:?}"
             );
-            prop_check!(
-                fast == slow,
-                "trajectories diverge between eval paths: fast {:?}… vs slow {:?}…",
-                fast.as_ref().map(|b| b.len()),
-                slow.as_ref().map(|b| b.len())
-            );
+            if frozen.thaws > 0 && spec.stages.iter().any(|s| s.nems) {
+                rethawed.fetch_add(1, Ordering::Relaxed);
+            }
             Ok(())
         },
+    );
+    assert!(
+        rethawed.load(Ordering::Relaxed) > 0,
+        "no case crossed a NEMFET pull-in on the frozen sparse path"
     );
 }

@@ -12,7 +12,9 @@ use std::time::Duration;
 use nemscmos_harness::{parallel_map, try_parallel_map};
 use nemscmos_spice::analysis::op::op;
 use nemscmos_spice::circuit::Circuit;
-use nemscmos_spice::device::{batch_key_word, Device, LoadContext, Solution, BATCH_KEY_SEED};
+use nemscmos_spice::device::{
+    batch_key_word, Col, Device, EvalBatch, Lane, LoadContext, Solution, BATCH_KEY_SEED,
+};
 use nemscmos_spice::element::NodeId;
 use nemscmos_spice::stamp::Stamper;
 use nemscmos_spice::stats;
@@ -49,7 +51,7 @@ fn idle_worker_exits_instead_of_spinning() {
     assert!(spent < 5, "{spent} ticks of CPU while one job slept 200 ms");
 }
 
-/// A batchable square-law shunt to ground; the default scatter loads it.
+/// A batchable square-law shunt to ground.
 #[derive(Debug)]
 struct SquareLaw {
     node: NodeId,
@@ -74,6 +76,23 @@ impl Device for SquareLaw {
     fn reset_state(&mut self) {}
     fn batch_key(&self) -> Option<u64> {
         Some(batch_key_word(BATCH_KEY_SEED, 1))
+    }
+    fn lane(&self) -> Option<Lane> {
+        let mut lane = Lane::new();
+        lane.voltage(self.node);
+        lane.nonlinear_current(
+            self.node,
+            NodeId::GROUND,
+            Col::Out(0),
+            &[(self.node, Col::Out(1))],
+        );
+        Some(lane)
+    }
+    fn batch_eval(&self, _ctx: &LoadContext, batch: &mut EvalBatch) {
+        for &v in &batch.vin[0] {
+            batch.out[0].push(1e-4 * v * v);
+            batch.out[1].push(2e-4 * v);
+        }
     }
 }
 

@@ -51,21 +51,89 @@ pub enum RefactorReject {
     },
 }
 
-/// Symbolic replay record for numeric-only refactorization: the final
-/// pivot assignment and each column's DFS reach, captured by
-/// [`SparseLu::factor_symbolic`].
+/// Symbolic replay record for numeric-only refactorization: the input
+/// pattern guard plus the replay itself, recorded by
+/// [`SparseLu::factor_symbolic`] and compiled at the first
+/// [`SparseLu::refactor`].
 #[derive(Debug, Clone)]
 struct Symbolic {
-    /// Final `pinv`: pivot column of each original row.
-    pinv: Vec<isize>,
-    /// Per-column slice bounds into `reach_rows`.
-    reach_ptr: Vec<usize>,
-    /// Concatenated per-column reach sets in recorded post-order.
-    reach_rows: Vec<usize>,
     /// Input pattern guard: the column pointers of the factored matrix.
     a_col_ptr: Vec<usize>,
     /// Input pattern guard: the row indices of the factored matrix.
     a_row_idx: Vec<usize>,
+    replay: Replay,
+}
+
+#[derive(Debug, Clone)]
+enum Replay {
+    /// As the factorization recorded it: the final pivot assignment and
+    /// each column's DFS reach.
+    Recorded {
+        /// Final `pinv`: pivot column of each original row.
+        pinv: Vec<isize>,
+        /// Per-column slice bounds into `reach_rows`.
+        reach_ptr: Vec<usize>,
+        /// Concatenated per-column reach sets in recorded post-order.
+        reach_rows: Vec<usize>,
+    },
+    /// Compiled into per-column work lists.
+    Compiled(Schedule),
+}
+
+/// The replay of a recorded factorization compiled into flat per-column
+/// lists, so a refactorization does no `pinv` lookups and no pattern
+/// matching. Every list keeps the order the recorded replay walks it in,
+/// so the arithmetic — and with it every bit — is unchanged.
+#[derive(Debug, Clone)]
+struct Schedule {
+    /// Per elimination step: where its lists end.
+    ends: Vec<ColumnEnds>,
+    /// Reach rows outside the input column, cleared before the scatter.
+    zero: Vec<u32>,
+    /// Sparse triangular solve updates, in replay order.
+    updates: Vec<Update>,
+    /// Rows still unpivoted at the step, in pivot-scan order.
+    candidates: Vec<u32>,
+    /// Where each non-pivot reach row's value goes, in reach order.
+    stores: Vec<Store>,
+}
+
+/// Ends of one step's slices of the [`Schedule`] lists, and whether the
+/// step's reach walk matched every stored `L`/`U` slot (a step that does
+/// not is rejected as fill drift by every replay, as the recorded replay
+/// would).
+#[derive(Debug, Clone, Copy)]
+struct ColumnEnds {
+    zero: u32,
+    updates: u32,
+    candidates: u32,
+    stores: u32,
+    complete: bool,
+}
+
+/// One replayed column update: `x -= L(:, k) · x[row]` over the stored
+/// `L` range `lo..hi` of the pivot column `k` of `row`.
+#[derive(Debug, Clone, Copy)]
+struct Update {
+    row: u32,
+    lo: u32,
+    hi: u32,
+}
+
+/// One entry of a step's store map: the reach `row`, and the `U` or `L`
+/// slot its value is stored in, or the pruned position it must stay
+/// zero at.
+#[derive(Debug, Clone, Copy)]
+struct Store {
+    row: u32,
+    slot: u32,
+}
+
+impl Store {
+    /// Set in `slot` for an `L` entry (a multiplier), clear for `U`.
+    const L: u32 = 1 << 31;
+    /// The slot bits of a pruned position.
+    const PRUNED: u32 = Store::L - 1;
 }
 
 /// A sparse LU factorization `P A Q = L U` with partial (row) pivoting
@@ -199,13 +267,7 @@ impl SparseLu {
         };
         lu.l_col_ptr.push(0);
         lu.u_col_ptr.push(0);
-        let mut rec = record.then(|| Symbolic {
-            pinv: Vec::new(),
-            reach_ptr: vec![0],
-            reach_rows: Vec::new(),
-            a_col_ptr: a.col_ptr().to_vec(),
-            a_row_idx: a.row_indices().to_vec(),
-        });
+        let mut rec = record.then(|| (vec![0], Vec::new()));
 
         // pinv[i] = pivot column of original row i, or UNPIVOTED.
         let mut pinv = vec![UNPIVOTED; n];
@@ -244,9 +306,9 @@ impl SparseLu {
             // topo now holds reach in reverse-topological order (children first
             // within each DFS tree, trees in push order). We need topological
             // order for the solve: process in reverse.
-            if let Some(rec) = rec.as_mut() {
-                rec.reach_rows.extend_from_slice(&topo);
-                rec.reach_ptr.push(rec.reach_rows.len());
+            if let Some((reach_ptr, reach_rows)) = rec.as_mut() {
+                reach_rows.extend_from_slice(&topo);
+                reach_ptr.push(reach_rows.len());
             }
 
             // --- Numeric: scatter A(:, col), then sparse triangular solve. ---
@@ -318,9 +380,16 @@ impl SparseLu {
             lu.u_col_ptr.push(lu.u_rows.len());
             lu.l_col_ptr.push(lu.l_rows.len());
         }
-        if let Some(mut rec) = rec {
-            rec.pinv = pinv;
-            lu.sym = Some(rec);
+        if let Some((reach_ptr, reach_rows)) = rec {
+            lu.sym = Some(Symbolic {
+                a_col_ptr: a.col_ptr().to_vec(),
+                a_row_idx: a.row_indices().to_vec(),
+                replay: Replay::Recorded {
+                    pinv,
+                    reach_ptr,
+                    reach_rows,
+                },
+            });
         }
         Ok(lu)
     }
@@ -406,64 +475,171 @@ impl SparseLu {
     /// [`RefactorReject`]; the caller then falls back to
     /// [`factor_symbolic`](SparseLu::factor_symbolic).
     ///
+    /// The first refactorization compiles the record into per-column
+    /// lists — the column updates as `(row, L range)` in replay order, the
+    /// pivot candidates, and a store map naming the `U` or `L` slot of each
+    /// reach row, or its pruned position — and every replay then walks
+    /// those lists with no `pinv` lookups or pattern matching. The lists
+    /// keep the recorded replay's order and every guard stays: the input
+    /// pattern check, the `xi == 0.0` skip (which decides the arithmetic),
+    /// the small-pivot and pivot-growth rejects, and fill drift on stored
+    /// and pruned positions alike.
+    ///
     /// # Errors
     ///
     /// Returns a [`RefactorReject`] describing the first guard that fired.
     /// On rejection the stored factors are partially overwritten and must
     /// not be used for solves — discard this object and factor afresh.
     pub fn refactor(&mut self, a: &CscMatrix) -> std::result::Result<(), RefactorReject> {
-        let sym = match self.sym.take() {
-            Some(s) => s,
-            None => return Err(RefactorReject::NoSymbolic),
+        let Some(mut sym) = self.sym.take() else {
+            return Err(RefactorReject::NoSymbolic);
         };
-        let out = self.refactor_replay(&sym, a);
-        self.sym = Some(sym);
-        out
-    }
-
-    fn refactor_replay(
-        &mut self,
-        sym: &Symbolic,
-        a: &CscMatrix,
-    ) -> std::result::Result<(), RefactorReject> {
         let n = self.n;
-        if a.rows() != n
+        let out = if a.rows() != n
             || a.cols() != n
             || a.col_ptr() != &sym.a_col_ptr[..]
             || a.row_indices() != &sym.a_row_idx[..]
         {
-            return Err(RefactorReject::PatternMismatch);
-        }
-        self.scratch.resize(n, 0.0);
-        for step in 0..n {
-            let col = match &self.q {
-                Some(q) => q[step],
-                None => step,
-            };
-            let j = step;
-            let reach = &sym.reach_rows[sym.reach_ptr[j]..sym.reach_ptr[j + 1]];
-            // Scatter A(:, col) over the recorded reach, then replay the
-            // sparse triangular solve in the recorded order. The guards
-            // (`pinv[i] < j`, `xi == 0.0`) mirror `factor` exactly so the
-            // arithmetic sequence is identical.
-            for &i in reach {
-                self.scratch[i] = 0.0;
+            Err(RefactorReject::PatternMismatch)
+        } else {
+            if let Replay::Recorded {
+                pinv,
+                reach_ptr,
+                reach_rows,
+            } = &sym.replay
+            {
+                sym.replay = Replay::Compiled(self.compile(pinv, reach_ptr, reach_rows, a));
             }
-            for (i, v) in a.col(col) {
-                self.scratch[i] = v;
+            match &sym.replay {
+                Replay::Compiled(schedule) => self.replay(schedule, a),
+                Replay::Recorded { .. } => unreachable!("compiled above"),
             }
+        };
+        self.sym = Some(sym);
+        out
+    }
+
+    /// Compiles the recorded replay (final `pinv`, per-column reach) of
+    /// this factorization of a matrix with `a`'s pattern into a
+    /// [`Schedule`], walking each list exactly as the replay would.
+    fn compile(
+        &self,
+        pinv: &[isize],
+        reach_ptr: &[usize],
+        reach_rows: &[usize],
+        a: &CscMatrix,
+    ) -> Schedule {
+        let idx = |v: usize| u32::try_from(v).expect("factor index fits u32");
+        let mut sch = Schedule {
+            ends: Vec::with_capacity(self.n),
+            zero: Vec::new(),
+            updates: Vec::new(),
+            candidates: Vec::new(),
+            stores: Vec::new(),
+        };
+        let mut in_column = vec![usize::MAX; self.n];
+        for j in 0..self.n {
+            let col = self.q.as_ref().map_or(j, |q| q[j]);
+            let reach = &reach_rows[reach_ptr[j]..reach_ptr[j + 1]];
+            for (i, _) in a.col(col) {
+                in_column[i] = j;
+            }
+            // The scatter overwrites the input column's rows, so only the
+            // rest of the reach needs clearing.
+            sch.zero.extend(
+                reach
+                    .iter()
+                    .filter(|&&i| in_column[i] != j)
+                    .map(|&i| idx(i)),
+            );
             for &i in reach.iter().rev() {
-                let k = sym.pinv[i];
+                let k = pinv[i];
                 if k < 0 || k as usize >= j {
-                    continue; // row not pivoted yet at (fresh) time j
+                    continue;
                 }
-                let k = k as usize;
-                let xi = self.scratch[i];
+                let (lo, hi) = (self.l_col_ptr[k as usize], self.l_col_ptr[k as usize + 1]);
+                // An empty L column updates nothing.
+                if lo < hi {
+                    sch.updates.push(Update {
+                        row: idx(i),
+                        lo: idx(lo),
+                        hi: idx(hi),
+                    });
+                }
+            }
+            sch.candidates.extend(
+                reach
+                    .iter()
+                    .filter(|&&i| pinv[i] >= j as isize)
+                    .map(|&i| idx(i)),
+            );
+            let (mut up, u_end) = (self.u_col_ptr[j], self.u_col_ptr[j + 1]);
+            let (mut lp, l_end) = (self.l_col_ptr[j], self.l_col_ptr[j + 1]);
+            for &i in reach {
+                let k = pinv[i];
+                if k == j as isize {
+                    continue; // the pivot/diagonal itself
+                }
+                let slot = if k >= 0 && (k as usize) < j {
+                    if up < u_end && self.u_rows[up] == k as usize {
+                        up += 1;
+                        idx(up - 1)
+                    } else {
+                        Store::PRUNED
+                    }
+                } else if lp < l_end && self.l_rows[lp] == i {
+                    lp += 1;
+                    Store::L | idx(lp - 1)
+                } else {
+                    Store::L | Store::PRUNED
+                };
+                sch.stores.push(Store { row: idx(i), slot });
+            }
+            sch.ends.push(ColumnEnds {
+                zero: idx(sch.zero.len()),
+                updates: idx(sch.updates.len()),
+                candidates: idx(sch.candidates.len()),
+                stores: idx(sch.stores.len()),
+                complete: up == u_end && lp == l_end,
+            });
+        }
+        sch
+    }
+
+    /// Replays the compiled `schedule` over `a` (whose pattern the caller
+    /// checked), overwriting the stored factors in place.
+    fn replay(&mut self, sch: &Schedule, a: &CscMatrix) -> std::result::Result<(), RefactorReject> {
+        let n = self.n;
+        self.scratch.resize(n, 0.0);
+        let x = &mut self.scratch[..];
+        let (a_ptr, a_rows, a_vals) = (a.col_ptr(), a.row_indices(), a.values());
+        let mut start = ColumnEnds {
+            zero: 0,
+            updates: 0,
+            candidates: 0,
+            stores: 0,
+            complete: true,
+        };
+        for (j, &end) in sch.ends.iter().enumerate() {
+            let col = self.q.as_ref().map_or(j, |q| q[j]);
+            // Scatter A(:, col) over the cleared reach, then replay the
+            // sparse triangular solve; the `xi == 0.0` skip mirrors
+            // `factor` so the arithmetic sequence is identical.
+            for &i in &sch.zero[start.zero as usize..end.zero as usize] {
+                x[i as usize] = 0.0;
+            }
+            let (lo, hi) = (a_ptr[col], a_ptr[col + 1]);
+            for (&i, &v) in a_rows[lo..hi].iter().zip(&a_vals[lo..hi]) {
+                x[i] = v;
+            }
+            for u in &sch.updates[start.updates as usize..end.updates as usize] {
+                let xi = x[u.row as usize];
                 if xi == 0.0 {
                     continue;
                 }
-                for p in self.l_col_ptr[k]..self.l_col_ptr[k + 1] {
-                    self.scratch[self.l_rows[p]] -= self.l_vals[p] * xi;
+                let (lo, hi) = (u.lo as usize, u.hi as usize);
+                for (&r, &l) in self.l_rows[lo..hi].iter().zip(&self.l_vals[lo..hi]) {
+                    x[r] -= l * xi;
                 }
             }
 
@@ -472,13 +648,11 @@ impl SparseLu {
             // diverge from a fresh factorization.
             let mut pivot_row = usize::MAX;
             let mut best = 0.0f64;
-            for &i in reach {
-                if sym.pinv[i] >= j as isize {
-                    let v = self.scratch[i].abs();
-                    if v > best || pivot_row == usize::MAX {
-                        best = v;
-                        pivot_row = i;
-                    }
+            for &i in &sch.candidates[start.candidates as usize..end.candidates as usize] {
+                let v = x[i as usize].abs();
+                if v > best || pivot_row == usize::MAX {
+                    best = v;
+                    pivot_row = i as usize;
                 }
             }
             if pivot_row == usize::MAX || best.is_nan() || best <= PIVOT_EPS {
@@ -488,7 +662,7 @@ impl SparseLu {
                 });
             }
             if pivot_row != self.p[j] {
-                let recorded = self.scratch[self.p[j]].abs();
+                let recorded = x[self.p[j]].abs();
                 return Err(RefactorReject::PivotGrowth {
                     column: j,
                     ratio: if recorded > 0.0 {
@@ -498,49 +672,36 @@ impl SparseLu {
                     },
                 });
             }
-            let pivot_val = self.scratch[pivot_row];
+            let pivot_val = x[pivot_row];
             self.u_diag[j] = pivot_val;
 
             // Overwrite the stored L/U slots in place. `factor` prunes
             // exact zeros from storage, so the recorded pattern is valid
             // only while every stored slot stays nonzero and every pruned
             // reach position stays zero.
-            let mut up = self.u_col_ptr[j];
-            let u_end = self.u_col_ptr[j + 1];
-            let mut lp = self.l_col_ptr[j];
-            let l_end = self.l_col_ptr[j + 1];
-            for &i in reach {
-                let k = sym.pinv[i];
-                if k == j as isize {
-                    continue; // the pivot/diagonal itself
-                }
-                if k >= 0 && (k as usize) < j {
-                    let v = self.scratch[i];
-                    if up < u_end && self.u_rows[up] == k as usize {
-                        if v == 0.0 {
-                            return Err(RefactorReject::FillDrift { column: j });
-                        }
-                        self.u_vals[up] = v;
-                        up += 1;
-                    } else if v != 0.0 {
-                        return Err(RefactorReject::FillDrift { column: j });
-                    }
+            for s in &sch.stores[start.stores as usize..end.stores as usize] {
+                let is_l = s.slot & Store::L != 0;
+                let v = if is_l {
+                    x[s.row as usize] / pivot_val
                 } else {
-                    let m = self.scratch[i] / pivot_val;
-                    if lp < l_end && self.l_rows[lp] == i {
-                        if m == 0.0 {
-                            return Err(RefactorReject::FillDrift { column: j });
-                        }
-                        self.l_vals[lp] = m;
-                        lp += 1;
-                    } else if m != 0.0 {
-                        return Err(RefactorReject::FillDrift { column: j });
+                    x[s.row as usize]
+                };
+                let slot = s.slot & !Store::L;
+                if (slot == Store::PRUNED) != (v == 0.0) {
+                    return Err(RefactorReject::FillDrift { column: j });
+                }
+                if slot != Store::PRUNED {
+                    if is_l {
+                        self.l_vals[slot as usize] = v;
+                    } else {
+                        self.u_vals[slot as usize] = v;
                     }
                 }
             }
-            if up != u_end || lp != l_end {
+            if !end.complete {
                 return Err(RefactorReject::FillDrift { column: j });
             }
+            start = end;
         }
         Ok(())
     }

@@ -7,10 +7,10 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use crate::circuit::{BatchPlan, Circuit};
-use crate::device::{Device, EvalBatch, LoadContext, Mode, Solution};
+use crate::device::{stamp_lane, Device, EvalBatch, LaneStamp, LoadContext, Mode, Solution};
 use crate::element::{Element, NodeId};
 use crate::faults::FaultKind;
-use crate::stamp::{JacobianKey, StampSection, Stamper};
+use crate::stamp::{JacobianKey, LaneTape, StampSection, Stamper};
 use crate::stats::{count, Counter};
 use crate::{Result, SpiceError};
 
@@ -23,25 +23,31 @@ use crate::{Result, SpiceError};
 #[derive(Debug, Default)]
 pub(crate) struct Workspace {
     st: Option<Stamper>,
+    lanes: LaneScratch,
+}
+
+/// The device-lane state [`assemble`] keeps across assemblies.
+#[derive(Debug, Default)]
+struct LaneScratch {
     /// Structure-of-arrays gather/eval columns, one per chunk of the
     /// batch plan, reused across assemblies so the steady state allocates
     /// nothing. The mutex lets the eval helper fill a chunk the caller
     /// has gathered.
-    scratch: Vec<Mutex<EvalBatch>>,
+    chunks: Vec<Mutex<EvalBatch>>,
+    /// The batch plan's lanes resolved against the current frozen
+    /// pattern.
+    slots: LaneSlots,
 }
 
 impl Workspace {
     pub(crate) fn new() -> Workspace {
-        Workspace {
-            st: None,
-            scratch: Vec::new(),
-        }
+        Workspace::default()
     }
 
     /// The cached stamper for `n` unknowns — recreated when the dimension,
     /// backend or ordering choice changed — plus the batch scratch
-    /// columns, split-borrowed so assembly can use both.
-    fn parts(&mut self, n: usize) -> (&mut Stamper, &mut Vec<Mutex<EvalBatch>>) {
+    /// columns and lane slots, split-borrowed so assembly can use both.
+    fn parts(&mut self, n: usize) -> (&mut Stamper, &mut LaneScratch) {
         let stale = match &self.st {
             Some(st) => {
                 st.dim() != n
@@ -55,8 +61,233 @@ impl Workspace {
         }
         (
             self.st.as_mut().expect("stamper just ensured"),
-            &mut self.scratch,
+            &mut self.lanes,
         )
+    }
+}
+
+/// Where one lane's stamps landed on the table's frozen pattern.
+#[derive(Debug, Clone, Copy)]
+struct SlotLane {
+    /// The tape position of the lane's first push, or
+    /// [`SlotLane::UNRESOLVED`].
+    pos: u32,
+    /// The lane's first entry in [`LaneSlots::ops`] (its first stamp in
+    /// the plan's layout).
+    start: u32,
+    /// Resolved residual rows, then CSC slots.
+    residuals: u16,
+    entries: u16,
+    /// The contact bit the lane was resolved with.
+    closed: bool,
+}
+
+impl SlotLane {
+    const UNRESOLVED: u32 = u32::MAX;
+}
+
+/// One resolved stamp: the residual row or CSC slot it adds to, and the
+/// stage position of its value, with [`SlotOp::NEG`] set when the value
+/// is negated.
+#[derive(Debug, Clone, Copy, Default)]
+struct SlotOp {
+    target: u32,
+    src: u32,
+}
+
+impl SlotOp {
+    const NEG: u32 = 1 << 31;
+}
+
+/// Every batched lane's stamps resolved to the CSC slots and residual
+/// rows of one frozen pattern (see [`crate::stamp`]).
+///
+/// A lane's resolved stamps sit at its plan stamp offset, residual rows
+/// first, then Jacobian slots, each in push order (only the order within
+/// each target array matters for the sums). Their values are read from
+/// `stage`, into which an assembly that writes through the table first
+/// copies every batch column a lane stamp reads, chunk after chunk, so
+/// that a resolved stamp is one load, one sign flip and one add.
+#[derive(Debug, Default)]
+struct LaneSlots {
+    /// The freeze every resolved lane belongs to.
+    freeze: u64,
+    lanes: Vec<SlotLane>,
+    ops: Vec<SlotOp>,
+    /// Per chunk: where its columns start in `stage`.
+    stage_base: Vec<u32>,
+    stage: Vec<f64>,
+    /// Whether `stage` holds this assembly's values (`Some(false)`: a
+    /// staged value is not finite). Reset by every assembly.
+    staged: Option<bool>,
+}
+
+/// How a lane's record compares with the tape it is about to stamp.
+enum SlotMatch {
+    /// Resolved at this position of this freeze, with this contact bit.
+    Hit,
+    /// Not resolved on this freeze: this assembly resolves it.
+    Unresolved,
+    /// Resolved on this freeze, but elsewhere on the tape or with the
+    /// other contact bit.
+    Moved,
+}
+
+impl LaneSlots {
+    /// Sizes the table for `plan`, forgetting every resolution when the
+    /// layout changed, and marks the stage stale. Called by every
+    /// assembly on a frozen pattern.
+    fn fit(&mut self, plan: &BatchPlan) {
+        self.staged = None;
+        if self.lanes.len() == plan.lanes && self.ops.len() == plan.stamps.len() {
+            return;
+        }
+        self.freeze = 0;
+        self.lanes = plan.stamp_start[..plan.lanes]
+            .iter()
+            .map(|&start| SlotLane {
+                pos: SlotLane::UNRESOLVED,
+                start,
+                residuals: 0,
+                entries: 0,
+                closed: false,
+            })
+            .collect();
+        self.ops = vec![SlotOp::default(); plan.stamps.len()];
+        let mut base = 0usize;
+        self.stage_base = plan
+            .chunks
+            .iter()
+            .map(|chunk| {
+                let at = base;
+                base += chunk.sources.count_ones() as usize * chunk.len;
+                u32::try_from(at).expect("stage fits u32")
+            })
+            .collect();
+        assert!(base < SlotOp::NEG as usize, "stage fits 31 bits");
+        self.stage = vec![0.0; base];
+    }
+
+    #[inline]
+    fn check(&mut self, g: usize, freeze: u64, pos: usize, closed: bool) -> SlotMatch {
+        if self.freeze != freeze {
+            // A new freeze: every resolution belongs to an older one.
+            self.freeze = freeze;
+            for lane in &mut self.lanes {
+                lane.pos = SlotLane::UNRESOLVED;
+            }
+        }
+        let lane = &self.lanes[g];
+        if lane.pos as usize == pos && lane.closed == closed {
+            SlotMatch::Hit
+        } else if lane.pos == SlotLane::UNRESOLVED {
+            SlotMatch::Unresolved
+        } else {
+            SlotMatch::Moved
+        }
+    }
+
+    /// Copies every column a lane stamp reads into the stage, once per
+    /// assembly. Returns whether every copied value is finite (an
+    /// unfilled column counts as not finite).
+    fn stage(&mut self, plan: &BatchPlan, scratch: &mut [Mutex<EvalBatch>]) -> bool {
+        if let Some(ok) = self.staged {
+            return ok;
+        }
+        let mut ok = true;
+        for ((chunk, batch), &base) in plan.chunks.iter().zip(scratch).zip(&self.stage_base) {
+            let batch = batch.get_mut().unwrap_or_else(PoisonError::into_inner);
+            let mut at = base as usize;
+            for k in (0..16).filter(|&k| chunk.sources & 1 << k != 0) {
+                let col = batch.column(k);
+                ok &= col.len() == chunk.len && col.iter().all(|v| v.is_finite());
+                if !ok {
+                    break;
+                }
+                self.stage[at..at + chunk.len].copy_from_slice(col);
+                at += chunk.len;
+            }
+        }
+        self.staged = Some(ok);
+        ok
+    }
+
+    /// Writes lane `g` straight into its resolved slots from the stage:
+    /// the same additions, in the same order per slot and row, as its
+    /// per-push route.
+    #[inline]
+    fn write(&self, g: usize, tape: LaneTape<'_>) {
+        let lane = self.lanes[g];
+        let ops = &self.ops[lane.start as usize..][..(lane.residuals + lane.entries) as usize];
+        let (residuals, entries) = ops.split_at(lane.residuals as usize);
+        // The value of a resolved stamp, negated by flipping the sign
+        // bit exactly as `-v` does.
+        let value = |op: &SlotOp| {
+            let v = self.stage[(op.src & !SlotOp::NEG) as usize];
+            f64::from_bits(v.to_bits() ^ u64::from(op.src & SlotOp::NEG) << 32)
+        };
+        for op in residuals {
+            tape.rhs[op.target as usize] += value(op);
+        }
+        for op in entries {
+            tape.values[op.target as usize] += value(op);
+        }
+        *tape.cursor += lane.entries as usize;
+    }
+
+    /// Records where lane `g` of `plan` landed: the residual rows of its
+    /// active `stamps` (contact `closed`), and `slots`, the CSC slots of
+    /// its Jacobian pushes from tape position `pos`.
+    fn resolve(
+        &mut self,
+        plan: &BatchPlan,
+        g: usize,
+        stamps: &[LaneStamp],
+        closed: bool,
+        pos: usize,
+        slots: &[u32],
+    ) {
+        let (c, l) = plan.chunk_lane(g);
+        let chunk = &plan.chunks[c];
+        let stage_of = |s: &LaneStamp| {
+            let k = s.src & LaneStamp::COLUMN;
+            let rank = (chunk.sources & ((1u16 << k) - 1)).count_ones() as usize;
+            let at = self.stage_base[c] as usize + rank * chunk.len + l;
+            at as u32
+                | if s.src & LaneStamp::NEG != 0 {
+                    SlotOp::NEG
+                } else {
+                    0
+                }
+        };
+        let active = || stamps.iter().filter(move |s| s.active(closed));
+        let residuals = active().filter(|s| s.col == LaneStamp::RESIDUAL);
+        let entries = active().filter(|s| s.col != LaneStamp::RESIDUAL);
+        let (Ok(n_res), Ok(n_ent)) = (
+            u16::try_from(residuals.clone().count()),
+            u16::try_from(slots.len()),
+        ) else {
+            return; // too many stamps to record: the lane stays per-push
+        };
+        debug_assert_eq!(entries.clone().count(), slots.len());
+        let targets = residuals
+            .clone()
+            .map(|s| s.row)
+            .chain(slots.iter().copied());
+        let lane = &mut self.lanes[g];
+        for (k, (s, target)) in residuals.chain(entries).zip(targets).enumerate() {
+            self.ops[lane.start as usize + k] = SlotOp {
+                target,
+                src: stage_of(s),
+            };
+        }
+        *lane = SlotLane {
+            pos: u32::try_from(pos).unwrap_or(SlotLane::UNRESOLVED),
+            residuals: n_res,
+            entries: n_ent,
+            closed,
+            ..*lane
+        };
     }
 }
 
@@ -324,22 +555,28 @@ pub(crate) fn load_ic_clamps(clamps: &[(NodeId, f64)], x: &[f64], st: &mut Stamp
 /// Devices load through the circuit's batch plan: every chunk is
 /// gathered, the linear elements are stamped, every chunk is evaluated
 /// (part of them on the eval helper, see [`crate::par`]), and then every
-/// device stamps in global order — scattering its lane, or loading itself
-/// when it has no batch key. Gather and evaluation stamp nothing, so the
-/// stamp-call sequence, and with it the assembled system, is bitwise the
-/// same at every eval-thread budget. The caller's time in the device
-/// section (gather, eval claiming and waiting, scatter) is attributed to
+/// device stamps in global order — its lane, or itself through
+/// [`Device::load`] when it has none. On a frozen pattern a lane resolved
+/// at its tape position writes straight into its CSC slots; every other
+/// lane takes the per-push route and, on a frozen pattern, is resolved
+/// for the next assembly (see [`crate::stamp`]). Gather and evaluation
+/// stamp nothing, so the stamp-call sequence, and with it the assembled
+/// system, is bitwise the same at every eval-thread budget and on either
+/// route. The caller's time in the device section (gather, eval claiming
+/// and waiting, stamping) is attributed to
 /// [`SolverStats::device_eval_ns`]: one bracket around the section minus
-/// the linear stamping inside it. A circuit without devices reads no
+/// the linear stamping inside it, which goes to
+/// [`SolverStats::linear_stamp_ns`]. A circuit without devices reads no
 /// clock.
 ///
 /// [`SolverStats::device_eval_ns`]: crate::stats::SolverStats::device_eval_ns
+/// [`SolverStats::linear_stamp_ns`]: crate::stats::SolverStats::linear_stamp_ns
 fn assemble(
     ckt: &Circuit,
     x: &[f64],
     ctx: &LoadContext,
     st: &mut Stamper,
-    scratch: &mut Vec<Mutex<EvalBatch>>,
+    lanes: &mut LaneScratch,
     lin: Option<&LinearState>,
     ic_clamps: Option<&[(NodeId, f64)]>,
 ) -> Result<()> {
@@ -351,26 +588,66 @@ fn assemble(
     } else {
         let plan = ckt.batch_plan();
         let sol = Solution::new(x);
+        let LaneScratch {
+            chunks: scratch,
+            slots,
+        } = lanes;
         scratch.resize_with(plan.chunks.len(), Default::default);
+        // Only a frozen pattern needs the slot table; the backend cannot
+        // become frozen during the assembly.
+        if st.lane_tape().is_some() {
+            slots.fit(plan);
+        }
         let start = Instant::now();
-        let linear_ns = eval_chunks(plan, devices, &sol, ctx, scratch, || {
+        let linear_ns = eval_chunks(plan, devices, x, ctx, scratch, || {
             let linear_start = Instant::now();
             load_linear(ckt, x, ctx, st, lin)?;
             Ok(linear_start.elapsed().as_nanos() as u64)
         })?;
+        let (mut resolved, mut fallbacks) = (0, 0);
         for (i, dev) in devices.iter().enumerate() {
-            st.set_section(StampSection::Device(i));
-            match plan.membership[i] {
-                Some((c, lane)) => {
-                    let batch = scratch[c].get_mut().unwrap_or_else(PoisonError::into_inner);
-                    dev.batch_scatter(lane, batch, &sol, ctx, st);
+            let g = plan.device_lane[i];
+            if g == BatchPlan::NO_LANE {
+                st.set_section(StampSection::Device(i));
+                dev.load(&sol, ctx, st);
+                continue;
+            }
+            let g = g as usize;
+            let closed = plan.closed[g];
+            let mut resolve_at = None;
+            if let Some(tape) = st.lane_tape() {
+                let (freeze, pos) = (tape.freeze, *tape.cursor);
+                match slots.check(g, freeze, pos, closed) {
+                    SlotMatch::Hit => {
+                        if slots.stage(plan, scratch) {
+                            slots.write(g, tape);
+                            resolved += 1;
+                            continue;
+                        }
+                        fallbacks += 1;
+                    }
+                    SlotMatch::Unresolved => {}
+                    SlotMatch::Moved => fallbacks += 1,
                 }
-                None => dev.load(&sol, ctx, st),
+                resolve_at = Some((freeze, pos));
+            }
+            let (c, l) = plan.chunk_lane(g);
+            let batch = scratch[c].get_mut().unwrap_or_else(PoisonError::into_inner);
+            let stamps = plan.lane_stamps(g);
+            st.set_section(StampSection::Device(i));
+            stamp_lane(stamps, closed, batch, l, st);
+            if let Some((freeze, pos)) = resolve_at {
+                if let Some(tape) = st.tape_slots(freeze, pos) {
+                    slots.resolve(plan, g, stamps, closed, pos, tape);
+                }
             }
         }
         if plan.lanes > 0 {
             count(Counter::BatchedEvals, 1);
+            count(Counter::ResolvedLanes, resolved);
+            count(Counter::LaneFallbacks, fallbacks);
         }
+        count(Counter::LinearStampNs, linear_ns);
         count(
             Counter::DeviceEvalNs,
             start.elapsed().as_nanos() as u64 - linear_ns,
@@ -398,7 +675,7 @@ fn lock(chunk: &Mutex<EvalBatch>) -> MutexGuard<'_, EvalBatch> {
 fn eval_chunks(
     plan: &BatchPlan,
     devices: &[Box<dyn Device>],
-    sol: &Solution<'_>,
+    x: &[f64],
     ctx: &LoadContext,
     scratch: &[Mutex<EvalBatch>],
     linear: impl FnOnce() -> Result<u64>,
@@ -406,18 +683,7 @@ fn eval_chunks(
     let eval = |c: usize| devices[plan.chunks[c].rep].batch_eval(ctx, &mut lock(&scratch[c]));
     crate::par::evaluate(&eval, plan.chunks.len(), plan.lanes, |job| {
         for (c, chunk) in plan.chunks.iter().enumerate() {
-            let mut batch = lock(&scratch[c]);
-            batch.clear();
-            for &i in &chunk.members {
-                devices[i].batch_gather(sol, &mut batch);
-            }
-            // Reserve the output columns here so that `batch_eval`
-            // never allocates, whichever thread runs it.
-            let lanes = batch.lanes();
-            for col in &mut batch.out {
-                col.reserve(lanes);
-            }
-            drop(batch);
+            chunk.gather(x, &plan.closed, &mut lock(&scratch[c]));
             job.gathered();
         }
         linear()
@@ -449,14 +715,14 @@ fn kcl_audit(
     x: &[f64],
     ctx: &LoadContext,
     st: &mut Stamper,
-    scratch: &mut Vec<Mutex<EvalBatch>>,
+    lanes: &mut LaneScratch,
     lin: Option<&LinearState>,
     ic_clamps: Option<&[(NodeId, f64)]>,
 ) -> Result<()> {
     let Some(tol) = crate::guard::kcl_tolerance() else {
         return Ok(());
     };
-    assemble(ckt, x, ctx, st, scratch, lin, ic_clamps)?;
+    assemble(ckt, x, ctx, st, lanes, lin, ic_clamps)?;
     let nn = ckt.num_node_unknowns();
     let (worst, residual) =
         st.residual()
@@ -528,7 +794,7 @@ pub(crate) fn newton_solve(
     } else {
         None
     };
-    let (st, scratch) = ws.parts(n);
+    let (st, lanes) = ws.parts(n);
     loop {
         // Budget poll: publishes the heartbeat and fails the solve with a
         // typed interrupt error if a deadline, cap, or cancellation
@@ -537,7 +803,7 @@ pub(crate) fn newton_solve(
             count(Counter::NewtonIterations, solver.iterations() as u64);
             return Err(e);
         }
-        assemble(ckt, x, ctx, st, scratch, lin, ic_clamps)?;
+        assemble(ckt, x, ctx, st, lanes, lin, ic_clamps)?;
 
         // Fault injection — inert (a thread-local load) unless a plan is
         // installed by a test or soak driver.
@@ -590,7 +856,7 @@ pub(crate) fn newton_solve(
         match solver.apply_step(x, &dx) {
             NewtonStatus::Converged => {
                 count(Counter::NewtonIterations, solver.iterations() as u64);
-                kcl_audit(ckt, x, ctx, st, scratch, lin, ic_clamps)?;
+                kcl_audit(ckt, x, ctx, st, lanes, lin, ic_clamps)?;
                 return Ok(solver.iterations());
             }
             NewtonStatus::Interrupted(kind) => {

@@ -125,9 +125,7 @@ pub(crate) fn op_vector(
     {
         let ctx = LoadContext::dc(opts.gmin);
         let sol = Solution::new(&x);
-        for dev in ckt.devices_mut() {
-            let _ = dev.commit(&sol, &ctx);
-        }
+        let _ = ckt.commit_devices(&sol, &ctx);
     }
 
     // Discrete-state consistency loop: hysteretic devices may flip after a
@@ -136,11 +134,7 @@ pub(crate) fn op_vector(
         solve_dc_point(ckt, &mut x, opts, ic_clamps, ws)?;
         let ctx = LoadContext::dc(opts.gmin);
         let sol = Solution::new(&x);
-        let mut changed = false;
-        for dev in ckt.devices_mut() {
-            changed |= dev.commit(&sol, &ctx);
-        }
-        if !changed {
+        if !ckt.commit_devices(&sol, &ctx) {
             crate::budget::pulse_solve_done();
             return Ok(x);
         }

@@ -288,10 +288,7 @@ pub fn transient(ckt: &mut Circuit, tstop: f64, opts: &TranOptions) -> Result<Tr
         count(Counter::StepsAccepted, 1);
         crate::budget::pulse_accepted_step(t_new);
         let sol = Solution::new(&x_try);
-        let mut state_changed = false;
-        for dev in ckt.devices_mut() {
-            state_changed |= dev.commit(&sol, &ctx);
-        }
+        let state_changed = ckt.commit_devices(&sol, &ctx);
         lin.advance(ckt, &x_try, dt_step, backward_euler);
         x_prev = std::mem::replace(&mut x, x_try);
         dt_prev = dt_step;

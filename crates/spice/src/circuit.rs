@@ -2,7 +2,9 @@
 
 use std::collections::HashMap;
 
-use crate::device::{Device, DeviceId};
+use crate::device::{
+    Device, DeviceId, EvalBatch, Lane, LaneInput, LaneStamp, LoadContext, Solution,
+};
 use crate::element::{Element, ElementId, NodeId, SourceRef};
 use crate::waveform::Waveform;
 use crate::{Result, SpiceError};
@@ -13,7 +15,12 @@ pub(crate) const CHUNK: usize = 256;
 /// Partition of a circuit's devices into homogeneous evaluation batches,
 /// computed once at layout freeze from [`Device::batch_key`], and of each
 /// batch into chunks of at most [`CHUNK`] lanes — the unit an assembly
-/// gathers, evaluates (on either thread, see [`crate::par`]) and scatters.
+/// gathers, evaluates (on either thread, see [`crate::par`]) and stamps.
+///
+/// Every batched device's [`Lane`] is compiled into the plan: its chunk's
+/// gather columns (unknown indices or constants) and its stamps, stored
+/// flat in global lane order. Only the contact bits change afterwards,
+/// when a commit reports a discrete change ([`Circuit::commit_devices`]).
 ///
 /// Batches are ordered by first appearance of their key, lanes within a
 /// batch follow ascending device index, and chunks cut each batch in lane
@@ -24,21 +31,158 @@ pub(crate) const CHUNK: usize = 256;
 pub(crate) struct BatchPlan {
     /// Every batch's chunks, batch by batch.
     pub chunks: Vec<Chunk>,
-    /// For each device index: `Some((chunk, lane))` when batched, `None`
-    /// for devices without a batch key, which load through
-    /// [`Device::load`].
-    pub membership: Vec<Option<(usize, usize)>>,
+    /// For each device index: its global lane, or [`BatchPlan::NO_LANE`]
+    /// for devices that load through [`Device::load`].
+    pub device_lane: Vec<u32>,
+    /// For each global lane: its chunk.
+    pub lane_chunk: Vec<u32>,
     /// Batched lanes in all chunks.
     pub lanes: usize,
+    /// Every lane's stamps, lane after lane in global lane order.
+    pub stamps: Vec<LaneStamp>,
+    /// Lane `g` owns `stamps[stamp_start[g]..stamp_start[g + 1]]`.
+    pub stamp_start: Vec<u32>,
+    /// Each lane's contact bit (`false` for lanes without one).
+    pub closed: Vec<bool>,
 }
+
+impl BatchPlan {
+    /// [`BatchPlan::device_lane`] of an unbatched device.
+    pub const NO_LANE: u32 = u32::MAX;
+
+    /// Appends one chunk: `lanes` are the lanes of the devices `piece`
+    /// of the batch whose first member is `rep`, all of one shape.
+    fn push_chunk(&mut self, rep: usize, piece: &[usize], lanes: &[Lane]) {
+        let first_lane = self.lanes;
+        let chunk = u32::try_from(self.chunks.len()).expect("chunk count fits u32");
+        for (&i, lane) in piece.iter().zip(lanes) {
+            let g = self.lane_chunk.len();
+            self.device_lane[i] = u32::try_from(g).expect("lane count fits u32");
+            self.lane_chunk.push(chunk);
+            self.stamps.extend_from_slice(&lane.stamps);
+            let end = u32::try_from(self.stamps.len()).expect("lane stamps fit u32");
+            self.stamp_start.push(end);
+            self.closed.push(lane.contact.unwrap_or(false));
+        }
+        let inputs = (0..lanes[0].inputs.len())
+            .map(|k| match lanes[0].inputs[k] {
+                LaneInput::Voltage(_) => ChunkInput::Rows(
+                    lanes
+                        .iter()
+                        .map(|lane| match lane.inputs[k] {
+                            LaneInput::Voltage(n) if !n.is_ground() => {
+                                u32::try_from(n.index() - 1).expect("node index fits u32")
+                            }
+                            _ => GROUND_ROW,
+                        })
+                        .collect(),
+                ),
+                LaneInput::Constant(_) => ChunkInput::Constants(
+                    lanes
+                        .iter()
+                        .map(|lane| match lane.inputs[k] {
+                            LaneInput::Constant(v) => v,
+                            LaneInput::Voltage(_) => unreachable!("one shape per batch"),
+                        })
+                        .collect(),
+                ),
+            })
+            .collect();
+        let sources = lanes
+            .iter()
+            .flat_map(|lane| &lane.stamps)
+            .fold(0u16, |m, s| m | 1 << (s.src & LaneStamp::COLUMN));
+        self.lanes += lanes.len();
+        self.chunks.push(Chunk {
+            rep,
+            first_lane,
+            len: lanes.len(),
+            inputs,
+            contact: lanes[0].contact.is_some(),
+            sources,
+        });
+    }
+
+    /// The chunk of global lane `g`, and the lane's index in it.
+    #[inline]
+    pub fn chunk_lane(&self, g: usize) -> (usize, usize) {
+        let c = self.lane_chunk[g] as usize;
+        (c, g - self.chunks[c].first_lane)
+    }
+
+    /// The stamps of global lane `g`.
+    #[inline]
+    pub fn lane_stamps(&self, g: usize) -> &[LaneStamp] {
+        &self.stamps[self.stamp_start[g] as usize..self.stamp_start[g + 1] as usize]
+    }
+
+    /// Re-reads device `i`'s contact bit after a commit changed its
+    /// discrete state (or a reset). A no-op for unbatched devices and
+    /// before the plan is built.
+    fn refresh(&mut self, i: usize, dev: &dyn Device) {
+        if let Some(&g) = self.device_lane.get(i).filter(|&&g| g != Self::NO_LANE) {
+            self.closed[g as usize] = dev.lane().and_then(|lane| lane.contact).unwrap_or(false);
+        }
+    }
+}
+
+/// Gather row of a ground terminal: out of range of every unknown
+/// vector, so the gathered voltage reads `0.0`.
+const GROUND_ROW: u32 = u32::MAX;
 
 /// Up to [`CHUNK`] consecutive lanes of one batch.
 #[derive(Debug, Clone)]
 pub(crate) struct Chunk {
     /// The batch's first member, which evaluates every chunk of it.
     pub rep: usize,
-    /// Device indices of the chunk's lanes, ascending.
-    pub members: Vec<usize>,
+    /// Global lane index of the chunk's first lane.
+    pub first_lane: usize,
+    /// Number of lanes.
+    pub len: usize,
+    /// What each input column is gathered from, lane by lane.
+    pub inputs: Vec<ChunkInput>,
+    /// Whether the lanes carry a contact bit.
+    pub contact: bool,
+    /// Bit `k` set when some stamp reads batch column `k` (inputs
+    /// `0..LANE_COLUMNS`, then outputs).
+    pub sources: u16,
+}
+
+/// The source of one input column of a chunk.
+#[derive(Debug, Clone)]
+pub(crate) enum ChunkInput {
+    /// Per lane, the unknown whose candidate value is gathered
+    /// ([`GROUND_ROW`] for ground).
+    Rows(Vec<u32>),
+    /// Per lane, a constant.
+    Constants(Vec<f64>),
+}
+
+impl Chunk {
+    /// Fills `batch`'s input and contact columns for candidate `x` from
+    /// node indices and constants, with no call into the devices.
+    pub fn gather(&self, x: &[f64], closed: &[bool], batch: &mut EvalBatch) {
+        batch.clear();
+        for (col, input) in batch.vin.iter_mut().zip(&self.inputs) {
+            match input {
+                ChunkInput::Rows(rows) => col.extend(
+                    rows.iter()
+                        .map(|&r| x.get(r as usize).copied().unwrap_or(0.0)),
+                ),
+                ChunkInput::Constants(values) => col.extend_from_slice(values),
+            }
+        }
+        if self.contact {
+            batch
+                .bin
+                .extend_from_slice(&closed[self.first_lane..self.first_lane + self.len]);
+        }
+        // Reserve the output columns here so that `batch_eval` never
+        // allocates, whichever thread runs it.
+        for col in &mut batch.out {
+            col.reserve(self.len);
+        }
+    }
 }
 
 /// A circuit netlist: named nodes, linear elements, and nonlinear devices.
@@ -163,38 +307,41 @@ impl Circuit {
     }
 
     /// Groups devices with equal [`Device::batch_key`]s into evaluation
-    /// batches and cuts each into chunks; devices without a key are left
-    /// out of every chunk and load themselves through [`Device::load`].
+    /// batches, compiles their [`Lane`]s and cuts each batch into chunks;
+    /// devices without a key or a lane (or whose lane's shape differs
+    /// from the first lane of their key) are left out of every chunk and
+    /// load themselves through [`Device::load`].
     fn build_batch_plan(devices: &[Box<dyn Device>]) -> BatchPlan {
         let mut by_key: HashMap<u64, usize> = HashMap::new();
-        let mut batches: Vec<Vec<usize>> = Vec::new();
+        let mut batches: Vec<(u16, Vec<usize>)> = Vec::new();
         for (i, dev) in devices.iter().enumerate() {
-            if let Some(key) = dev.batch_key() {
-                let b = *by_key.entry(key).or_insert_with(|| {
-                    batches.push(Vec::new());
-                    batches.len() - 1
-                });
-                batches[b].push(i);
+            let (Some(key), Some(lane)) = (dev.batch_key(), dev.lane()) else {
+                continue;
+            };
+            let shape = lane.shape();
+            let b = *by_key.entry(key).or_insert_with(|| {
+                batches.push((shape, Vec::new()));
+                batches.len() - 1
+            });
+            if batches[b].0 == shape {
+                batches[b].1.push(i);
             }
         }
-        let mut chunks = Vec::new();
-        let mut membership = vec![None; devices.len()];
-        for members in &batches {
+        let mut plan = BatchPlan {
+            device_lane: vec![BatchPlan::NO_LANE; devices.len()],
+            stamp_start: vec![0],
+            ..BatchPlan::default()
+        };
+        for (_, members) in &batches {
             for piece in members.chunks(CHUNK) {
-                for (lane, &i) in piece.iter().enumerate() {
-                    membership[i] = Some((chunks.len(), lane));
-                }
-                chunks.push(Chunk {
-                    rep: members[0],
-                    members: piece.to_vec(),
-                });
+                let lanes: Vec<Lane> = piece
+                    .iter()
+                    .map(|&i| devices[i].lane().expect("described above"))
+                    .collect();
+                plan.push_chunk(members[0], piece, &lanes);
             }
         }
-        BatchPlan {
-            chunks,
-            membership,
-            lanes: batches.iter().map(Vec::len).sum(),
-        }
+        plan
     }
 
     /// The batch partition, complete once the layout is finalized.
@@ -411,17 +558,27 @@ impl Circuit {
         &self.devices
     }
 
-    /// The nonlinear devices (mutable view, used by analyses to commit
-    /// state).
-    pub(crate) fn devices_mut(&mut self) -> &mut [Box<dyn Device>] {
-        &mut self.devices
-    }
-
     /// Resets all device dynamic state (fresh analysis from power-on).
     pub fn reset_device_state(&mut self) {
-        for d in &mut self.devices {
+        for (i, d) in self.devices.iter_mut().enumerate() {
             d.reset_state();
+            self.batch_plan.refresh(i, d.as_ref());
         }
+    }
+
+    /// Commits the converged solution `x` to every device (see
+    /// [`Device::commit`]), re-reading the contact bit of each batched
+    /// lane whose device reports a discrete change. Returns whether any
+    /// device did.
+    pub(crate) fn commit_devices(&mut self, x: &Solution<'_>, ctx: &LoadContext) -> bool {
+        let mut changed = false;
+        for (i, d) in self.devices.iter_mut().enumerate() {
+            if d.commit(x, ctx) {
+                changed = true;
+                self.batch_plan.refresh(i, d.as_ref());
+            }
+        }
+        changed
     }
 
     /// Checks structural validity: every non-ground node must have at

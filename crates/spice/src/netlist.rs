@@ -32,20 +32,36 @@ use crate::element::{NodeId, SourceRef};
 use crate::waveform::Waveform;
 use crate::{Result, SpiceError};
 
+/// Why a [`DeviceFactory`] refused a device card.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum FactoryError {
+    /// The factory knows no model of this name.
+    UnknownModel,
+    /// The model is known but the card cannot build it; the reason names
+    /// the terminal count or the parameter at fault.
+    Rejected(String),
+}
+
 /// Creates nonlinear devices for `M`/`X` cards.
 ///
 /// `params` holds the parsed `KEY=value` assignments (keys upper-cased,
 /// values suffix-expanded).
 pub trait DeviceFactory {
     /// Builds a device for `model` with the given instance `name` and
-    /// terminal `nodes`, or returns `None` if the model is unknown.
+    /// terminal `nodes`.
+    ///
+    /// # Errors
+    ///
+    /// [`FactoryError::UnknownModel`] if the model is unknown, and
+    /// [`FactoryError::Rejected`] with the reason if the card's terminals
+    /// or parameters do not fit it.
     fn make(
         &self,
         name: &str,
         model: &str,
         nodes: &[NodeId],
         params: &HashMap<String, f64>,
-    ) -> Option<Box<dyn Device>>;
+    ) -> std::result::Result<Box<dyn Device>, FactoryError>;
 }
 
 /// A factory that knows no device models (linear-only decks).
@@ -59,8 +75,8 @@ impl DeviceFactory for NoDevices {
         _: &str,
         _: &[NodeId],
         _: &HashMap<String, f64>,
-    ) -> Option<Box<dyn Device>> {
-        None
+    ) -> std::result::Result<Box<dyn Device>, FactoryError> {
+        Err(FactoryError::UnknownModel)
     }
 }
 
@@ -746,15 +762,19 @@ pub fn parse_deck<F: DeviceFactory>(text: &str, factory: &F) -> Result<ParsedDec
                     params.insert(k.to_ascii_uppercase(), parse_value(v)?);
                 }
                 let (resolved, params) = resolve_model(&model, &params, &models)?;
+                let via = if resolved == model {
+                    String::new()
+                } else {
+                    format!(" (via .MODEL '{model}')")
+                };
                 let dev = factory
                     .make(&card, &resolved, &ids, &params)
-                    .ok_or_else(|| {
-                        if resolved == model {
-                            bad(&format!("unknown device model '{model}'"))
-                        } else {
-                            bad(&format!(
-                                "unknown device model '{resolved}' (via .MODEL '{model}')"
-                            ))
+                    .map_err(|e| match e {
+                        FactoryError::UnknownModel => {
+                            bad(&format!("unknown device model '{resolved}'{via}"))
+                        }
+                        FactoryError::Rejected(reason) => {
+                            bad(&format!("device model '{resolved}'{via}: {reason}"))
                         }
                     })?;
                 ckt.add_boxed_device(dev);

@@ -7,7 +7,7 @@
 //! with one process-wide helper thread: the caller publishes the job,
 //! gathers the chunks in order while the helper evaluates the ones
 //! already gathered, claims whatever is left itself, and then waits only
-//! for the chunk the helper has in flight. Gather and scatter never
+//! for the chunk the helper has in flight. Gather and lane stamping never
 //! leave the calling thread.
 //!
 //! Chunks are claimed from one atomic cursor, and every chunk is

@@ -24,12 +24,25 @@
 //!
 //! * **Pattern-frozen stamping** — the first sparse solve records the
 //!   triplet → CSC slot of every push; later assemblies write straight
-//!   into the preallocated CSC value slots (assign on a slot's first
-//!   touch, accumulate after), eliminating the per-iteration
-//!   sort/dedup/alloc of compression. A push sequence that deviates from
-//!   the frozen one thaws back to triplets; that solve compresses them
-//!   through the same pipeline and caches its factorization, and the next
-//!   solve re-freezes (and refactors it if the pattern held).
+//!   into the preallocated CSC value slots, eliminating the per-iteration
+//!   sort/dedup/alloc of compression. [`Stamper::clear`] fills the values
+//!   with `-0.0` and every push adds: `-0.0 + v` is `v` bit for bit for
+//!   every `f64` (±0 included), so this is assign-on-first-touch, then
+//!   accumulate in push order, without a first-touch branch. A push
+//!   sequence that deviates from the frozen one thaws back to triplets;
+//!   that solve compresses them through the same pipeline and caches its
+//!   factorization, and the next solve re-freezes (and refactors it if
+//!   the pattern held).
+//! * **Slot-resolved device lanes** — every freeze gets a fresh id. On
+//!   the first assembly that replays a frozen pattern the engine stamps
+//!   each batched device lane push by push (each one checked against the
+//!   frozen tape) and records the CSC slots and residual rows its pushes
+//!   landed in, keyed by the freeze id and the lane's tape position.
+//!   Later assemblies on the same freeze write each lane's outputs
+//!   straight into those slots, in global device order, and advance the
+//!   tape cursor past them (see `Stamper::lane_tape`). A lane whose key
+//!   does not match, or whose outputs are non-finite, stamps push by push
+//!   again, which verifies, thaws and attributes as always.
 //! * **Symbolic LU reuse** — sparse factorizations keep their column
 //!   order, pivot order and reach ([`SparseLu::factor_symbolic`]);
 //!   subsequent solves replay a numeric-only refactorization whose guards
@@ -45,6 +58,8 @@
 
 use nemscmos_numeric::dense::{DenseLu, DenseMatrix};
 use nemscmos_numeric::sparse::{min_degree, CscMatrix, RefactorReject, SparseLu, Triplet};
+
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::element::NodeId;
 use crate::profile::{self, MatrixBackend};
@@ -112,15 +127,35 @@ struct Frozen {
     coords: Vec<(u32, u32)>,
     /// Per push: the CSC value slot it lands in.
     slots: Vec<u32>,
-    /// Per push: whether it is the first touch of its slot (assign
-    /// instead of accumulate, reproducing push-order duplicate summation
-    /// without having to zero the values between iterations).
+    /// Per push: whether it is the first touch of its slot. Only a thaw
+    /// reads it, to carry each touched slot over once, at its first-touch
+    /// position.
     first: Vec<bool>,
+    /// This freeze's process-wide unique id, the key of the engine's
+    /// slot-resolved lanes.
+    id: u64,
     /// Pushes consumed since the last [`Stamper::clear`].
     cursor: usize,
     /// True once an assembly has actually run through the slot map (the
     /// freezing solve itself compresses the triplets the ordinary way).
     via_slots: bool,
+}
+
+/// Source of [`Frozen::id`]: every freeze in the process gets its own.
+static NEXT_FREEZE: AtomicU64 = AtomicU64::new(1);
+
+/// A frozen pattern's tape, open for one slot-resolved lane: the lane
+/// adds its values into `values` (CSC slots) and `rhs` (residual rows)
+/// and moves `cursor` past the pushes it stands for.
+pub(crate) struct LaneTape<'a> {
+    /// The id of the freeze the tape belongs to.
+    pub freeze: u64,
+    /// Pushes consumed so far in this assembly.
+    pub cursor: &'a mut usize,
+    /// The frozen matrix's values.
+    pub values: &'a mut [f64],
+    /// The residual.
+    pub rhs: &'a mut [f64],
 }
 
 /// Which part of the assembly is currently stamping, for non-finite
@@ -242,9 +277,9 @@ impl Stamper {
     /// Clears the matrix, residual, and non-finite bookkeeping for the
     /// next iteration, keeping allocations.
     ///
-    /// A frozen sparse pattern is *not* discarded: only its push cursor
-    /// rewinds, and each slot is assigned (not accumulated) on its first
-    /// touch of the next assembly, so no value zeroing is needed.
+    /// A frozen sparse pattern is *not* discarded: its push cursor
+    /// rewinds and its values are filled with `-0.0`, the additive
+    /// identity every push then accumulates onto (see the module docs).
     pub fn clear(&mut self) {
         match &mut self.backend {
             Backend::Dense(m) => m.clear(),
@@ -252,6 +287,7 @@ impl Stamper {
             Backend::Frozen(fz) => {
                 fz.cursor = 0;
                 fz.via_slots = true;
+                fz.csc.values_mut().fill(-0.0);
             }
         }
         self.rhs.iter_mut().for_each(|x| *x = 0.0);
@@ -306,12 +342,7 @@ impl Stamper {
         if let Backend::Frozen(fz) = &mut self.backend {
             let k = fz.cursor;
             if k < fz.coords.len() && fz.coords[k] == (r as u32, c as u32) {
-                let s = fz.slots[k] as usize;
-                if fz.first[k] {
-                    fz.csc.values_mut()[s] = v;
-                } else {
-                    fz.csc.values_mut()[s] += v;
-                }
+                fz.csc.values_mut()[fz.slots[k] as usize] += v;
                 fz.cursor = k + 1;
                 return;
             }
@@ -387,7 +418,33 @@ impl Stamper {
             first,
             cursor,
             via_slots: false,
+            id: NEXT_FREEZE.fetch_add(1, Ordering::Relaxed),
         });
+    }
+
+    /// The frozen tape, for writing one slot-resolved lane straight into
+    /// it: `None` unless the pattern is frozen.
+    #[inline]
+    pub(crate) fn lane_tape(&mut self) -> Option<LaneTape<'_>> {
+        match &mut self.backend {
+            Backend::Frozen(fz) => Some(LaneTape {
+                freeze: fz.id,
+                cursor: &mut fz.cursor,
+                values: fz.csc.values_mut(),
+                rhs: &mut self.rhs,
+            }),
+            _ => None,
+        }
+    }
+
+    /// The CSC slots of the pushes consumed since tape position `from`,
+    /// while the pattern frozen as `freeze` is still in place (every one
+    /// of them was checked against the tape when it was pushed).
+    pub(crate) fn tape_slots(&self, freeze: u64, from: usize) -> Option<&[u32]> {
+        match &self.backend {
+            Backend::Frozen(fz) if fz.id == freeze => fz.slots.get(from..fz.cursor),
+            _ => None,
+        }
     }
 
     /// Adds `v` to the residual entry `r` (raw unknown index).
@@ -952,6 +1009,45 @@ mod tests {
             };
             assert_eq!(order(&st), min_degree(&fz.csc));
             assert_eq!(order(&st), q);
+        });
+    }
+
+    #[test]
+    fn frozen_replay_keeps_signed_zero_sums_bitwise() {
+        use crate::profile::{self, MatrixBackend, SolveProfile};
+        // Slots summing to -0.0, +0.0 and mixed-sign zeros: accumulating
+        // onto the `-0.0` fill must reproduce the compression's sums.
+        let stamp = |st: &mut Stamper| {
+            for r in 0..4 {
+                st.j(r, r, 2.0);
+                st.f(r, -1.0);
+            }
+            st.j(0, 1, -0.0);
+            st.j(1, 0, 0.0);
+            st.j(2, 3, -0.0);
+            st.j(2, 3, -0.0);
+            st.j(3, 2, -0.0);
+            st.j(3, 2, 0.0);
+            st.j(1, 2, 0.5);
+            st.j(1, 2, -0.5);
+        };
+        let bits = |st: &Stamper| -> Vec<(usize, usize, u64)> {
+            let entries = st.jacobian_entries().into_iter();
+            entries.map(|(r, c, v)| (r, c, v.to_bits())).collect()
+        };
+        let sparse = SolveProfile {
+            matrix_backend: Some(MatrixBackend::Sparse),
+            ..Default::default()
+        };
+        profile::with(sparse, || {
+            let mut st = Stamper::new(4);
+            stamp(&mut st);
+            st.solve().unwrap(); // compresses the triplets and freezes
+            let compressed = bits(&st);
+            st.clear();
+            stamp(&mut st);
+            assert!(matches!(&st.backend, Backend::Frozen(fz) if fz.via_slots));
+            assert_eq!(bits(&st), compressed);
         });
     }
 

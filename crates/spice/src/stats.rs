@@ -150,7 +150,7 @@ counter_table! {
     /// a batch key).
     batched_evals: BatchedEvals = "batched", optional;
     /// Wall-clock nanoseconds spent loading devices during assembly
-    /// (gather + model evaluation + Jacobian/residual scatter). Exactly
+    /// (gather + model evaluation + lane stamping). Exactly
     /// zero for circuits without nonlinear devices.
     device_eval_ns: DeviceEvalNs = "eval_ns", optional;
     /// Wall-clock nanoseconds spent in the linear solve (factorization,
@@ -186,6 +186,19 @@ counter_table! {
     /// Device-eval chunks the eval helper evaluated (the caller
     /// evaluated the rest).
     helper_chunks: HelperChunks = "helper_chunks", optional;
+    /// Wall-clock nanoseconds spent stamping the linear elements during
+    /// the assemblies of circuits with devices (timed inside the device
+    /// section and subtracted from `device_eval_ns`). Zero for circuits
+    /// without devices, whose assembly reads no clock.
+    linear_stamp_ns: LinearStampNs = "linear_ns", optional;
+    /// Device lanes written straight into their resolved CSC slots on a
+    /// frozen pattern (see [`crate::stamp`]), summed over assemblies.
+    resolved_lanes: ResolvedLanes = "lanes_resolved", optional;
+    /// Device lanes that took the per-push route on a frozen pattern
+    /// they had already been resolved on — at another tape position, with
+    /// the other contact bit, or with non-finite outputs. A lane's first
+    /// assembly on each freeze, which resolves it, is not counted.
+    lane_fallbacks: LaneFallbacks = "lane_fb", optional;
 }
 
 impl SolverStats {

@@ -10,16 +10,16 @@
 use nemscmos_spice::analysis::op::op;
 use nemscmos_spice::analysis::tran::{transient, TranOptions};
 use nemscmos_spice::circuit::Circuit;
-use nemscmos_spice::device::{batch_key_word, Device, LoadContext, Solution, BATCH_KEY_SEED};
+use nemscmos_spice::device::{
+    batch_key_word, Col, Device, EvalBatch, Lane, LoadContext, Solution, BATCH_KEY_SEED,
+};
 use nemscmos_spice::element::NodeId;
 use nemscmos_spice::stamp::Stamper;
 use nemscmos_spice::stats;
 use nemscmos_spice::waveform::Waveform;
 
-/// A minimal nonlinear shunt: i = k·v² to ground, batchable when
-/// `keyed`. Only the key is overridden — the default `batch_scatter`
-/// delegates to `load`, which is exactly the degenerate batch member the
-/// engine must also handle.
+/// A minimal nonlinear shunt: i = k·v² to ground, batchable (a key and
+/// a lane) when `keyed`.
 #[derive(Debug)]
 struct SquareLaw {
     node: NodeId,
@@ -47,6 +47,23 @@ impl Device for SquareLaw {
     fn batch_key(&self) -> Option<u64> {
         self.keyed
             .then(|| batch_key_word(BATCH_KEY_SEED, self.k.to_bits()))
+    }
+    fn lane(&self) -> Option<Lane> {
+        let mut lane = Lane::new();
+        lane.voltage(self.node);
+        lane.nonlinear_current(
+            self.node,
+            NodeId::GROUND,
+            Col::Out(0),
+            &[(self.node, Col::Out(1))],
+        );
+        self.keyed.then_some(lane)
+    }
+    fn batch_eval(&self, _ctx: &LoadContext, batch: &mut EvalBatch) {
+        for &v in &batch.vin[0] {
+            batch.out[0].push(self.k * v * v);
+            batch.out[1].push(2.0 * self.k * v);
+        }
     }
 }
 

@@ -7,7 +7,7 @@ use std::collections::HashMap;
 use nemscmos_spice::analysis::op::op;
 use nemscmos_spice::device::{Device, LoadContext, Solution};
 use nemscmos_spice::element::NodeId;
-use nemscmos_spice::netlist::{parse_deck, DeviceFactory, NoDevices};
+use nemscmos_spice::netlist::{parse_deck, DeviceFactory, FactoryError, NoDevices};
 use nemscmos_spice::stamp::Stamper;
 
 /// A one-terminal linear shunt, so parameter plumbing is observable as a
@@ -31,7 +31,7 @@ impl Device for Shunt {
     fn reset_state(&mut self) {}
 }
 
-/// Knows exactly one model, `shunt`, with a `G` parameter.
+/// Knows exactly one model, `shunt`: one terminal and a positive `G`.
 struct ShuntFactory;
 
 impl DeviceFactory for ShuntFactory {
@@ -41,14 +41,23 @@ impl DeviceFactory for ShuntFactory {
         model: &str,
         nodes: &[NodeId],
         params: &HashMap<String, f64>,
-    ) -> Option<Box<dyn Device>> {
-        if model != "shunt" || nodes.is_empty() {
-            return None;
+    ) -> Result<Box<dyn Device>, FactoryError> {
+        if model != "shunt" {
+            return Err(FactoryError::UnknownModel);
         }
-        Some(Box::new(Shunt {
-            node: nodes[0],
-            g: params.get("G").copied().unwrap_or(1e-3),
-        }))
+        let &[node] = nodes else {
+            return Err(FactoryError::Rejected(format!(
+                "needs 1 terminal, got {}",
+                nodes.len()
+            )));
+        };
+        let g = params.get("G").copied().unwrap_or(1e-3);
+        if !(g.is_finite() && g > 0.0) {
+            return Err(FactoryError::Rejected(format!(
+                "G must be positive, got {g}"
+            )));
+        }
+        Ok(Box::new(Shunt { node, g }))
     }
 }
 
@@ -143,6 +152,26 @@ fn alias_to_unknown_base_names_both_models() {
     let msg = err.to_string();
     assert!(msg.contains("nosuch"), "{msg}");
     assert!(msg.contains("ghost"), "{msg}");
+}
+
+#[test]
+fn known_model_with_a_bad_card_names_the_reason_not_the_model() {
+    // A bad parameter inherited through an alias.
+    let err = parse_deck(
+        ".model weak shunt G=0\nV1 out 0 DC 1\nM1 out weak\n.op\n",
+        &ShuntFactory,
+    )
+    .unwrap_err();
+    let msg = err.to_string();
+    assert!(msg.contains("G must be positive"), "{msg}");
+    assert!(msg.contains("via .MODEL 'weak'"), "{msg}");
+    assert!(!msg.contains("unknown"), "{msg}");
+    // A known model with the wrong pin count.
+    let err = parse_deck("V1 out 0 DC 1\nM1 out 0 shunt\n.op\n", &ShuntFactory).unwrap_err();
+    let msg = err.to_string();
+    assert!(msg.contains("needs 1 terminal, got 2"), "{msg}");
+    assert!(msg.contains("M1"), "{msg}");
+    assert!(!msg.contains("unknown"), "{msg}");
 }
 
 #[test]

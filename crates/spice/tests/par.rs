@@ -18,7 +18,7 @@ use std::time::Duration;
 use nemscmos_spice::analysis::op::op;
 use nemscmos_spice::circuit::Circuit;
 use nemscmos_spice::device::{
-    batch_key_word, Device, EvalBatch, LoadContext, Solution, BATCH_KEY_SEED,
+    batch_key_word, Col, Device, EvalBatch, Lane, LoadContext, Solution, BATCH_KEY_SEED,
 };
 use nemscmos_spice::element::NodeId;
 use nemscmos_spice::par;
@@ -77,9 +77,17 @@ impl Device for Shunt {
     fn batch_key(&self) -> Option<u64> {
         Some(batch_key_word(BATCH_KEY_SEED, K.to_bits()))
     }
-    fn batch_gather(&self, x: &Solution<'_>, batch: &mut EvalBatch) {
-        batch.vin[0].push(x.v(self.node));
-        batch.vin[1].push(self.id as f64);
+    fn lane(&self) -> Option<Lane> {
+        let mut lane = Lane::new();
+        lane.voltage(self.node);
+        lane.constant(self.id as f64);
+        lane.nonlinear_current(
+            self.node,
+            NodeId::GROUND,
+            Col::Out(0),
+            &[(self.node, Col::Out(1))],
+        );
+        Some(lane)
     }
     fn batch_eval(&self, _ctx: &LoadContext, batch: &mut EvalBatch) {
         // Slow enough that the helper, once woken, always finds a
@@ -95,21 +103,6 @@ impl Device for Shunt {
             batch.out[0].push(K * v * v);
             batch.out[1].push(2.0 * K * v);
         }
-    }
-    fn batch_scatter(
-        &self,
-        lane: usize,
-        batch: &EvalBatch,
-        _x: &Solution<'_>,
-        _ctx: &LoadContext,
-        st: &mut Stamper,
-    ) {
-        st.nonlinear_current(
-            self.node,
-            NodeId::GROUND,
-            batch.out[0][lane],
-            &[(self.node, batch.out[1][lane])],
-        );
     }
 }
 
