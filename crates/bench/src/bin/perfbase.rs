@@ -20,10 +20,13 @@
 //! `--smoke` runs the two smallest SRAM sizes plus one domino tree
 //! without writing the file, asserting the ordering never worsens fill
 //! wherever both orders are measured, both factorizations solve to small
-//! residual, the transient records fill/ordering attribution, and a
+//! residual, the transient records fill/ordering attribution, a
 //! sparse transient (sram-8x8, 178 unknowns) writes its device lanes
 //! through their resolved slots with no lane falling back to the
-//! per-push route. `ci.sh` runs it.
+//! per-push route, and the transient of a dense verify deck
+//! (`nmos-cascade`, 7 unknowns) replays its compiled dense refactor:
+//! symbolic reuses recorded, and fewer refactor fallbacks than
+//! factorizations. `ci.sh` runs it.
 
 use std::process::ExitCode;
 use std::time::Instant;
@@ -37,6 +40,7 @@ use nemscmos_spice::analysis::probe::dc_jacobian;
 use nemscmos_spice::analysis::tran::{transient, TranOptions};
 use nemscmos_spice::analysis::OpOptions;
 use nemscmos_spice::stats::{self, SolverStats};
+use nemscmos_verify::diff;
 
 /// Largest deck (in unknowns) whose DC Jacobian is also factored in
 /// natural order: sram-32x32, about 12 s. sram-64x64 took about 15
@@ -271,6 +275,37 @@ fn scaling_violations(points: &[ScalingPoint]) -> Vec<String> {
     violations
 }
 
+/// The dense verify deck whose transient must replay its refactor.
+const DENSE_DECK: &str = "nmos-cascade";
+
+/// Runs [`DENSE_DECK`]'s transient and returns its solver counters.
+fn dense_deck_counters() -> SolverStats {
+    let deck = diff::decks()
+        .into_iter()
+        .find(|d| d.name == DENSE_DECK)
+        .expect("the verify fleet holds the dense deck");
+    let (mut ckt, _) = deck.build();
+    let (res, st) = stats::measure(|| transient(&mut ckt, deck.tstop, &TranOptions::default()));
+    res.unwrap_or_else(|e| panic!("deck `{DENSE_DECK}`: transient failed: {e}"));
+    println!(
+        "{DENSE_DECK:<18} dense transient: {} factorizations, {} replayed, {} fallbacks",
+        st.lu_factorizations, st.symbolic_reuses, st.refactor_fallbacks
+    );
+    st
+}
+
+/// The dense replay contract: the compiled refactor engages and a
+/// kernel fallback is the exception.
+fn dense_replay_violation(st: &SolverStats) -> Option<String> {
+    (st.symbolic_reuses == 0 || st.refactor_fallbacks >= st.lu_factorizations).then(|| {
+        format!(
+            "{DENSE_DECK}: dense transient replayed {} of {} factorizations \
+             with {} refactor fallbacks",
+            st.symbolic_reuses, st.lu_factorizations, st.refactor_fallbacks
+        )
+    })
+}
+
 fn main() -> ExitCode {
     let args = Cli::new("perfbase", "generated-deck ordering/fill scaling sweep")
         .value("--out", "output JSON path [default: BENCH_10.json]")
@@ -290,7 +325,8 @@ fn main() -> ExitCode {
         .collect();
 
     if smoke {
-        let violations = scaling_violations(&points);
+        let mut violations = scaling_violations(&points);
+        violations.extend(dense_replay_violation(&dense_deck_counters()));
         if !violations.is_empty() {
             for v in &violations {
                 eprintln!("perfbase smoke violation: {v}");
@@ -316,4 +352,21 @@ fn main() -> ExitCode {
     }
     println!("scaling curve written to {out}");
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn dense_replay_gate_needs_reuses_and_rare_fallbacks() {
+        let mut st = SolverStats::ZERO;
+        st.lu_factorizations = 10;
+        assert!(dense_replay_violation(&st).is_some(), "no replay");
+        st.symbolic_reuses = 9;
+        st.refactor_fallbacks = 1;
+        assert_eq!(dense_replay_violation(&st), None);
+        st.refactor_fallbacks = 10;
+        assert!(dense_replay_violation(&st).is_some(), "all fell back");
+    }
 }

@@ -11,6 +11,7 @@ use nemscmos_numeric::prop_check;
 use nemscmos_numeric::roots::{bisect, brent};
 use nemscmos_numeric::sparse::{min_degree, CscMatrix, SparseLu};
 use nemscmos_numeric::stats::{quantile, Summary};
+use nemscmos_numeric::NumericError;
 
 /// Generator: a random diagonally dominant system as triplets plus a
 /// random right-hand side. The strong diagonal keeps it nonsingular
@@ -117,6 +118,172 @@ fn sparse_refactor_is_bitwise_equal_to_fresh_factor() {
                     for (ri, bi) in r.iter().zip(b.iter()) {
                         prop_check!((ri - bi).abs() < 1e-8, "fallback residual {ri} vs {bi}");
                     }
+                }
+            }
+            Ok(())
+        },
+    );
+}
+
+/// An MNA-like dense system and the perturbations a refactor sequence
+/// applies to it: conductances between node pairs and to ground,
+/// voltage-source rows and columns of ±1 entries (exact pivot ties) and
+/// a few asymmetric transconductances.
+#[derive(Debug)]
+struct MnaSequence {
+    n: usize,
+    entries: Vec<(usize, usize, f64)>,
+    /// Per-entry factors of a value drift.
+    drift: Vec<f64>,
+    /// An entry and the factor that grows it until it may win a pivot.
+    boost: (usize, f64),
+    /// An entry that turns exactly zero.
+    zeroed: usize,
+    /// A position that turns nonzero, usually outside the pattern.
+    added: (usize, usize, f64),
+    /// A row zeroed out (the singular case).
+    dead_row: usize,
+    /// A position that turns NaN.
+    nan_at: (usize, usize),
+    b: Vec<f64>,
+}
+
+fn mna_sequence(d: &mut Draws) -> MnaSequence {
+    let nodes = d.usize_in(2, 10);
+    let sources = d.usize_in(1, 3);
+    let n = nodes + sources;
+    let mut entries = Vec::new();
+    for i in 0..nodes {
+        entries.push((i, i, 1e-3));
+    }
+    // `nodes` stands for ground.
+    let edges = d.vec_of(nodes, 3 * nodes, |d| {
+        (
+            d.usize_in(0, nodes - 1),
+            d.usize_in(0, nodes),
+            d.f64_in(0.1, 10.0),
+        )
+    });
+    for (i, j, g) in edges {
+        entries.push((i, i, g));
+        if j != nodes && j != i {
+            entries.extend([(j, j, g), (i, j, -g), (j, i, -g)]);
+        }
+    }
+    for k in 0..sources {
+        let (p, q, br) = (d.usize_in(0, nodes - 1), d.usize_in(0, nodes), nodes + k);
+        entries.extend([(p, br, 1.0), (br, p, 1.0)]);
+        if q != nodes && q != p {
+            entries.extend([(q, br, -1.0), (br, q, -1.0)]);
+        }
+    }
+    let gm = d.vec_of(0, nodes, |d| {
+        (
+            d.usize_in(0, nodes - 1),
+            d.usize_in(0, nodes - 1),
+            d.f64_in(-5.0, 5.0),
+        )
+    });
+    entries.extend(gm);
+    let m = entries.len();
+    MnaSequence {
+        n,
+        drift: (0..m).map(|_| d.f64_in(0.5, 2.0)).collect(),
+        boost: (d.usize_in(0, m - 1), d.f64_in(10.0, 1e4)),
+        zeroed: d.usize_in(0, m - 1),
+        added: (
+            d.usize_in(0, n - 1),
+            d.usize_in(0, n - 1),
+            d.f64_in(-3.0, 3.0),
+        ),
+        dead_row: d.usize_in(0, n - 1),
+        nan_at: (d.usize_in(0, n - 1), d.usize_in(0, n - 1)),
+        b: (0..n).map(|_| d.f64_in(-10.0, 10.0)).collect(),
+        entries,
+    }
+}
+
+impl MnaSequence {
+    fn assemble(&self, value: impl Fn(usize, f64) -> f64) -> DenseMatrix {
+        let mut a = DenseMatrix::zeros(self.n, self.n);
+        for (k, &(r, c, v)) in self.entries.iter().enumerate() {
+            a.add(r, c, value(k, v));
+        }
+        a
+    }
+
+    /// The refactor sequence: drift, a grown entry, an entry turned
+    /// zero, one turned nonzero, a zeroed row, a NaN, with the base
+    /// matrix in between.
+    fn matrices(&self) -> Vec<DenseMatrix> {
+        let base = self.assemble(|_, v| v);
+        let drifted = self.assemble(|k, v| v * self.drift[k]);
+        let grown = self.assemble(|k, v| {
+            if k == self.boost.0 {
+                v * self.boost.1
+            } else {
+                v
+            }
+        });
+        let mut zeroed = base.clone();
+        let (zr, zc, _) = self.entries[self.zeroed];
+        zeroed.set(zr, zc, 0.0);
+        let mut added = base.clone();
+        added.set(self.added.0, self.added.1, self.added.2);
+        let mut singular = base.clone();
+        for c in 0..self.n {
+            singular.set(self.dead_row, c, 0.0);
+        }
+        let mut poisoned = base.clone();
+        poisoned.set(self.nan_at.0, self.nan_at.1, f64::NAN);
+        vec![
+            base.clone(),
+            drifted,
+            grown,
+            base.clone(),
+            zeroed,
+            added,
+            base.clone(),
+            singular,
+            base.clone(),
+            poisoned,
+            base,
+        ]
+    }
+}
+
+/// Solution bits, or the error's rendering.
+fn outcome(x: Result<Vec<f64>, NumericError>) -> Result<Vec<u64>, String> {
+    x.map(|x| x.iter().map(|v| v.to_bits()).collect())
+        .map_err(|e| format!("{e:?}"))
+}
+
+#[test]
+fn dense_refactor_matches_fresh_factor_bitwise() {
+    check(
+        "dense refactor matches fresh factor bitwise",
+        &Config::default(),
+        mna_sequence,
+        |case| {
+            let mats = case.matrices();
+            let mut lu = DenseLu::factor(mats[0].clone())
+                .or_else(|_| DenseLu::factor(DenseMatrix::identity(case.n)))
+                .unwrap();
+            for (step, a) in mats.iter().enumerate() {
+                let fresh = outcome(DenseLu::factor(a.clone()).and_then(|f| f.solve(&case.b)));
+                let re = outcome(lu.refactor(a).and_then(|()| lu.solve(&case.b)));
+                prop_check!(
+                    re == fresh,
+                    "step {step}: refactor {re:?} vs fresh {fresh:?} (replayed {})",
+                    lu.replayed()
+                );
+                // A matrix the refactor just factored is its own pattern
+                // and pivot order: refactoring it again must replay.
+                let finite = (0..case.n).all(|r| (0..case.n).all(|c| a.get(r, c).is_finite()));
+                if re.is_ok() && finite {
+                    let again = outcome(lu.refactor(a).and_then(|()| lu.solve(&case.b)));
+                    prop_check!(lu.replayed(), "step {step}: the repeat did not replay");
+                    prop_check!(again == fresh, "step {step}: replay {again:?} vs {fresh:?}");
                 }
             }
             Ok(())

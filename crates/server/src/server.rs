@@ -35,7 +35,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use nemscmos_harness::{
     content_digest, run_with_retries, spec_seed, Cache, HarnessError, Journal, Json, JsonCodec,
@@ -628,13 +628,11 @@ pub fn serve(config: ServerConfig) -> Result<(), HarnessError> {
     }
     let listener = UnixListener::bind(&config.socket)
         .map_err(|e| HarnessError::Config(format!("bind {:?}: {e}", config.socket)))?;
-    listener
-        .set_nonblocking(true)
-        .map_err(|e| HarnessError::Config(format!("nonblocking listener: {e}")))?;
 
     let mut workers = Vec::new();
     for i in 0..config.workers.max(1) {
         let shared = Arc::clone(&shared);
+        let socket = config.socket.clone();
         workers.push(
             std::thread::Builder::new()
                 .name(format!("server-worker-{i}"))
@@ -645,7 +643,14 @@ pub fn serve(config: ServerConfig) -> Result<(), HarnessError> {
                         while let Some(job) = shared.admission.take() {
                             shared.run_job(job);
                         }
-                    })
+                    });
+                    // Workers leave only once draining with an empty
+                    // queue, so the last one out sees the drain complete
+                    // and wakes the blocking accept below by connecting
+                    // (refused once the loop is gone).
+                    if shared.admission.drained() {
+                        let _ = UnixStream::connect(&socket);
+                    }
                 })
                 .expect("spawn worker"),
         );
@@ -656,8 +661,16 @@ pub fn serve(config: ServerConfig) -> Result<(), HarnessError> {
         std::thread::Builder::new()
             .name("server-heartbeat-pump".into())
             .spawn(move || {
+                // Parked between ticks: `serve` unparks the pump once
+                // stopping, so a drain never waits out a tick.
+                let mut next = Instant::now() + every;
                 while !shared.stopping.load(Ordering::Acquire) {
-                    std::thread::sleep(every);
+                    let now = Instant::now();
+                    if now < next {
+                        std::thread::park_timeout(next - now);
+                        continue;
+                    }
+                    next = now + every;
                     let running = shared.running.lock().expect("running registry poisoned");
                     for entry in running.values() {
                         let snap = entry.hb.snapshot();
@@ -675,28 +688,27 @@ pub fn serve(config: ServerConfig) -> Result<(), HarnessError> {
             .expect("spawn heartbeat pump")
     };
 
+    // Blocking accepts: the last worker out connects once the drain
+    // completes, and that connection, like any arriving after the drain,
+    // ends the loop unserved.
     let mut connections = Vec::new();
-    loop {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let shared = Arc::clone(&shared);
-                connections.push(
-                    std::thread::Builder::new()
-                        .name("server-conn".into())
-                        .spawn(move || handle_connection(shared, stream))
-                        .expect("spawn connection handler"),
-                );
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                if shared.admission.drained() {
-                    break;
-                }
-                std::thread::sleep(Duration::from_millis(20));
-            }
-            Err(_) => break,
+    for stream in listener.incoming() {
+        if shared.admission.drained() {
+            break;
         }
+        let Ok(stream) = stream else {
+            break;
+        };
+        let shared = Arc::clone(&shared);
+        connections.push(
+            std::thread::Builder::new()
+                .name("server-conn".into())
+                .spawn(move || handle_connection(shared, stream))
+                .expect("spawn connection handler"),
+        );
     }
     shared.stopping.store(true, Ordering::Release);
+    pump.thread().unpark();
     for w in workers {
         let _ = w.join();
     }

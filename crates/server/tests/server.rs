@@ -5,7 +5,7 @@
 
 use std::path::PathBuf;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use nemscmos_harness::{content_digest, Journal, Json};
 use nemscmos_server::{serve, Deck, Limits, RejectReason, Response, ServerClient, ServerConfig};
@@ -444,4 +444,23 @@ fn heartbeats_stream_while_a_job_runs() {
     assert!(matches!(terminal, Response::Done { .. }), "{terminal:?}");
     assert!(heartbeats >= 1, "expected streamed progress, got none");
     server.stop(&mut client);
+}
+
+#[test]
+fn an_idle_server_drains_without_waiting_out_a_heartbeat_tick() {
+    // A pump that slept through its interval would hold `serve` for up
+    // to 30 s after the drain.
+    let server = TestServer::start("prompt-drain", |mut c| {
+        c.heartbeat_every = Duration::from_secs(30);
+        c
+    });
+    let mut client = server.client();
+    assert!(client.health().is_ok());
+    let t0 = Instant::now();
+    server.stop(&mut client);
+    let took = t0.elapsed();
+    assert!(
+        took < Duration::from_secs(3),
+        "serve returned {took:?} after the drain"
+    );
 }

@@ -49,8 +49,12 @@
 //!   (pivot monitor, fill drift) make success bitwise-equal to a fresh
 //!   factorization, falling back to one otherwise. The fallback keeps the
 //!   rejected factorization's column order unless the pattern changed.
-//!   Dense factorizations refactor into the cached allocation instead of
-//!   cloning the matrix every iteration.
+//!   Dense factorizations refactor into the cached allocation and, after
+//!   the first refactor, replay a schedule compiled over the Jacobian's
+//!   nonzero structure ([`DenseLu::refactor`]), whose guards make success
+//!   bitwise-equal to the elimination kernel, which runs otherwise. Both
+//!   backends count a replay as a symbolic reuse and a kernel run after
+//!   a rejected replay as a refactor fallback.
 //! * **Linear-circuit bypass** — when the caller proves the Jacobian
 //!   cannot have changed (same [`JacobianKey`], no nonlinear devices, no
 //!   fault injection), the previous factorization is reused outright and
@@ -201,7 +205,8 @@ pub struct Stamper {
     /// Cached sparse factorization (symbolic record and column order
     /// attached) for numeric-only refactorization and bypass.
     sparse_lu: Option<SparseLu>,
-    /// Cached dense factorization, refactored in place each solve.
+    /// Cached dense factorization, refactored in place each solve (a
+    /// replay of its compiled schedule while the guards hold).
     dense_lu: Option<DenseLu>,
     /// The key under which the cached factorization was built.
     factor_key: Option<JacobianKey>,
@@ -569,7 +574,16 @@ impl Stamper {
                 let lu = match self.dense_lu.take() {
                     Some(lu) if bypass => lu,
                     Some(mut lu) => {
-                        lu.refactor(m)?;
+                        let out = lu.refactor(m);
+                        count(
+                            if lu.replayed() {
+                                Counter::SymbolicReuses
+                            } else {
+                                Counter::RefactorFallbacks
+                            },
+                            1,
+                        );
+                        out?;
                         lu
                     }
                     None => DenseLu::factor(m.clone())?,

@@ -136,11 +136,12 @@ counter_table! {
     /// Assemblies served by the pattern-frozen slot map (no per-iteration
     /// triplet sort/dedup/alloc).
     slot_cache_hits: SlotCacheHits = "slot_hits", optional;
-    /// Sparse factorizations served by numeric-only refactorization over
-    /// a recorded symbolic structure.
+    /// Sparse or dense factorizations served by numeric-only
+    /// refactorization over a recorded symbolic structure.
     symbolic_reuses: SymbolicReuses = "sym_reuse", optional;
-    /// Numeric-only refactorizations rejected by the pivot monitor and
-    /// redone as fresh fully-pivoted factorizations.
+    /// Sparse or dense numeric-only refactorizations rejected by a guard
+    /// (pivot monitor, pattern or fill drift) and redone as fresh
+    /// fully-pivoted factorizations.
     refactor_fallbacks: RefactorFallbacks = "refac_fb", optional;
     /// Linear-circuit solves that reused the previous factorization
     /// outright (RHS-only re-solve).

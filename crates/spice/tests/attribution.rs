@@ -5,7 +5,8 @@
 //! zero batched passes while their load time is still attributed. A
 //! sparse device deck must also engage the incremental linear-algebra
 //! fast path: slot-cache hits, symbolic LU reuses, and no more refactor
-//! fallbacks than factorizations.
+//! fallbacks than factorizations; a dense one must replay its compiled
+//! refactor.
 
 use nemscmos_spice::analysis::op::op;
 use nemscmos_spice::analysis::tran::{transient, TranOptions};
@@ -195,6 +196,23 @@ fn sparse_device_ladder_engages_the_incremental_fast_path() {
     };
     let (_, spent) = stats::measure(|| transient(&mut ckt, 10e-9, &opts).unwrap());
     assert!(spent.slot_cache_hits > 0, "slot-cache hits: {spent:?}");
+    assert!(spent.symbolic_reuses > 0, "symbolic reuses: {spent:?}");
+    assert!(
+        spent.refactor_fallbacks <= spent.lu_factorizations,
+        "fallbacks {} vs factorizations {}",
+        spent.refactor_fallbacks,
+        spent.lu_factorizations
+    );
+}
+
+#[test]
+fn dense_device_deck_replays_its_refactor() {
+    // Three unknowns, well inside the dense limit: every Newton
+    // iteration after the first refactors a dense Jacobian of one
+    // pattern, which the compiled schedule replays.
+    let mut ckt = device_deck();
+    let (_, spent) = stats::measure(|| transient(&mut ckt, 1e-6, &tran_opts()).unwrap());
+    assert_eq!(spent.slot_cache_hits, 0, "dense decks have no slot map");
     assert!(spent.symbolic_reuses > 0, "symbolic reuses: {spent:?}");
     assert!(
         spent.refactor_fallbacks <= spent.lu_factorizations,
