@@ -119,10 +119,10 @@ cargo run --release --offline -q -p nemscmos-bench --bin conformance
 # be served almost entirely from it (ISSUE acceptance: >= 90% hits).
 echo "== bench smoke run 1 (cold cache) =="
 rm -rf target/harness-cache
-cargo run --release --offline -q -p nemscmos-bench --bin all > /dev/null
+cold=$(cargo run --release --offline -q -p nemscmos-bench --bin repro -- all)
 
 echo "== bench smoke run 2 (warm cache) =="
-out=$(cargo run --release --offline -q -p nemscmos-bench --bin all)
+out=$(cargo run --release --offline -q -p nemscmos-bench --bin repro -- all)
 total=$(echo "$out" | grep -oE 'total: [0-9]+ jobs' | grep -oE '[0-9]+' | awk '{s+=$1} END {print s+0}')
 cached=$(echo "$out" | grep -oE '\([0-9]+ cached' | grep -oE '[0-9]+' | awk '{s+=$1} END {print s+0}')
 echo "cache: $cached/$total jobs served from target/harness-cache"
@@ -130,6 +130,18 @@ if [ "$total" -eq 0 ] || [ $((cached * 10)) -lt $((total * 9)) ]; then
     echo "FAIL: warm-cache hit rate below 90%" >&2
     exit 1
 fi
+
+# Registry drift guard: both runs' section text (everything above the
+# telemetry trailer) must match the benchmark's committed reference
+# byte for byte, so the experiment registry and perfbench's figure list
+# cannot drift apart.
+echo "== repro all vs perfbench/reference/paper-figures.txt =="
+for run in "$cold" "$out"; do
+    if ! echo "$run" | sed '/^=== Harness telemetry ===$/,$d' | diff - perfbench/reference/paper-figures.txt; then
+        echo "FAIL: repro all differs from the perfbench reference" >&2
+        exit 1
+    fi
+done
 
 # Seeded fault-injection soak: every injected fault must be rescued by
 # the retry ladder or surfaced as a typed diagnostic (never a panic,

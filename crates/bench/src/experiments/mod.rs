@@ -3,6 +3,7 @@
 pub mod ablations;
 pub mod device_tables;
 pub mod dynamic_or;
+pub mod registry;
 pub mod sleep;
 pub mod sram;
 pub mod thermal;

@@ -29,12 +29,13 @@
 //! [`QuotaPool`]: nemscmos_spice::budget::QuotaPool
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, BufWriter, ErrorKind, Write};
+use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::net::Shutdown;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use nemscmos_harness::{
@@ -176,10 +177,18 @@ struct Shared {
     supervision: Supervision,
     watchdog: Option<Watchdog>,
     running: Mutex<HashMap<u64, RunningEntry>>,
+    /// A clone of each open connection's stream, by accept order:
+    /// readers block until their client speaks, so once stopping `serve`
+    /// shuts these read sides to end every reader with end-of-file.
+    open: Mutex<HashMap<u64, UnixStream>>,
     stopping: AtomicBool,
 }
 
 impl Shared {
+    fn open_streams(&self) -> MutexGuard<'_, HashMap<u64, UnixStream>> {
+        self.open.lock().expect("open-stream registry poisoned")
+    }
+
     fn send(reply: &Option<Sender<Response>>, resp: Response) {
         if let Some(tx) = reply {
             // A gone client (dropped connection) is not an error; the
@@ -189,8 +198,9 @@ impl Shared {
     }
 
     /// Resolves one taken job: journal replay, cache replay, or real
-    /// execution under budget + ladder. Always journals the terminal
-    /// outcome before notifying.
+    /// execution under budget + ladder. Always journals and counts the
+    /// terminal outcome before notifying, so a client that has seen the
+    /// terminal line finds it in `health`.
     fn run_job(&self, job: QueuedJob) {
         if let Some(marker) = self.journal.lookup(&job.digest, &job.spec) {
             if let Recorded::Ok {
@@ -199,6 +209,10 @@ impl Shared {
                 rung,
             } = decode_marker(&marker)
             {
+                self.admission.job_done(|c| {
+                    c.completed += 1;
+                    c.replayed_journal += 1;
+                });
                 Self::send(
                     &job.reply,
                     Response::Done {
@@ -209,10 +223,6 @@ impl Shared {
                         result,
                     },
                 );
-                self.admission.job_done(|c| {
-                    c.completed += 1;
-                    c.replayed_journal += 1;
-                });
                 return;
             }
             // Failed/shed tombstone: a resubmission is a fresh request —
@@ -225,6 +235,10 @@ impl Shared {
                 &job.spec,
                 &ok_marker(&result, job.degraded, ""),
             );
+            self.admission.job_done(|c| {
+                c.completed += 1;
+                c.replayed_cache += 1;
+            });
             Self::send(
                 &job.reply,
                 Response::Done {
@@ -235,10 +249,6 @@ impl Shared {
                     result,
                 },
             );
-            self.admission.job_done(|c| {
-                c.completed += 1;
-                c.replayed_cache += 1;
-            });
             return;
         }
 
@@ -300,6 +310,12 @@ impl Shared {
                     &job.spec,
                     &ok_marker(&result, job.degraded, rung.label()),
                 );
+                self.admission.job_done(|c| {
+                    c.completed += 1;
+                    if attempts > 1 {
+                        c.retried += 1;
+                    }
+                });
                 Self::send(
                     &job.reply,
                     Response::Done {
@@ -310,12 +326,6 @@ impl Shared {
                         result,
                     },
                 );
-                self.admission.job_done(|c| {
-                    c.completed += 1;
-                    if attempts > 1 {
-                        c.retried += 1;
-                    }
-                });
             }
             Err(e) => {
                 let kind = e.kind();
@@ -326,14 +336,6 @@ impl Shared {
                     &job.spec,
                     &failed_marker(kind.label(), &error),
                 );
-                Self::send(
-                    &job.reply,
-                    Response::Failed {
-                        digest: job.digest,
-                        kind: kind.label().into(),
-                        error,
-                    },
-                );
                 self.admission.job_done(|c| {
                     c.failed += 1;
                     match kind {
@@ -342,6 +344,14 @@ impl Shared {
                         _ => {}
                     }
                 });
+                Self::send(
+                    &job.reply,
+                    Response::Failed {
+                        digest: job.digest,
+                        kind: kind.label().into(),
+                        error,
+                    },
+                );
             }
         }
     }
@@ -519,11 +529,7 @@ impl Shared {
     }
 }
 
-/// How long a connection reader sleeps per poll while checking for
-/// server shutdown.
-const READ_POLL: Duration = Duration::from_millis(100);
-
-fn handle_connection(shared: Arc<Shared>, stream: UnixStream) {
+fn handle_connection(shared: &Shared, stream: UnixStream) {
     let Ok(write_half) = stream.try_clone() else {
         return;
     };
@@ -539,7 +545,6 @@ fn handle_connection(shared: Arc<Shared>, stream: UnixStream) {
             }
         })
         .expect("spawn connection writer");
-    let _ = stream.set_read_timeout(Some(READ_POLL));
     let mut reader = BufReader::new(stream);
     let mut line = String::new();
     loop {
@@ -560,13 +565,6 @@ fn handle_connection(shared: Arc<Shared>, stream: UnixStream) {
                     }
                 }
                 line.clear();
-            }
-            // Timeout polls keep any partial line in `line` and try
-            // again, so slow writers are never corrupted.
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                if shared.stopping.load(Ordering::Acquire) {
-                    break;
-                }
             }
             Err(_) => break,
         }
@@ -596,6 +594,7 @@ pub fn serve(config: ServerConfig) -> Result<(), HarnessError> {
         supervision: config.supervision.clone(),
         watchdog,
         running: Mutex::new(HashMap::new()),
+        open: Mutex::new(HashMap::new()),
         stopping: AtomicBool::new(false),
     });
 
@@ -692,18 +691,25 @@ pub fn serve(config: ServerConfig) -> Result<(), HarnessError> {
     // completes, and that connection, like any arriving after the drain,
     // ends the loop unserved.
     let mut connections = Vec::new();
-    for stream in listener.incoming() {
+    for (id, stream) in (0u64..).zip(listener.incoming()) {
         if shared.admission.drained() {
             break;
         }
         let Ok(stream) = stream else {
             break;
         };
+        let Ok(read_half) = stream.try_clone() else {
+            continue;
+        };
+        shared.open_streams().insert(id, read_half);
         let shared = Arc::clone(&shared);
         connections.push(
             std::thread::Builder::new()
                 .name("server-conn".into())
-                .spawn(move || handle_connection(shared, stream))
+                .spawn(move || {
+                    handle_connection(&shared, stream);
+                    shared.open_streams().remove(&id);
+                })
                 .expect("spawn connection handler"),
         );
     }
@@ -713,6 +719,9 @@ pub fn serve(config: ServerConfig) -> Result<(), HarnessError> {
         let _ = w.join();
     }
     let _ = pump.join();
+    for stream in shared.open_streams().values() {
+        let _ = stream.shutdown(Shutdown::Read);
+    }
     for c in connections {
         let _ = c.join();
     }

@@ -3,12 +3,16 @@
 //! socket; the server is spawned in-process on a thread and shut down
 //! through the protocol's graceful drain.
 
+use std::io::{BufRead, BufReader, Write};
+use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use nemscmos_harness::{content_digest, Journal, Json};
-use nemscmos_server::{serve, Deck, Limits, RejectReason, Response, ServerClient, ServerConfig};
+use nemscmos_server::{
+    serve, Deck, Limits, RejectReason, Request, Response, ServerClient, ServerConfig,
+};
 
 struct TestServer {
     dir: PathBuf,
@@ -354,6 +358,22 @@ fn overload_sheds_lowest_priority_and_degrades_under_watermark() {
         Response::Accepted { digest, .. } => digest.clone(),
         other => panic!("{other:?}"),
     };
+    // Until the worker takes the blocker it sits in the queue, where the
+    // piled-up jobs below would shed or refuse against it.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while client
+        .health()
+        .unwrap()
+        .get("queue_depth")
+        .and_then(Json::as_f64)
+        != Some(0.0)
+    {
+        assert!(
+            Instant::now() < deadline,
+            "the worker never took the blocker"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
 
     let mut accepted = Vec::new();
     let mut saw_degraded = false;
@@ -462,5 +482,40 @@ fn an_idle_server_drains_without_waiting_out_a_heartbeat_tick() {
     assert!(
         took < Duration::from_secs(3),
         "serve returned {took:?} after the drain"
+    );
+}
+
+#[test]
+fn an_idle_client_does_not_hold_the_drain() {
+    // A connection reader that polled for the drain would hold `serve`
+    // for a full poll interval after it (the stopping client's own
+    // reader starts a fresh wait once it has handled the shutdown).
+    let server = TestServer::start("idle-client", |c| c);
+    let mut client = server.client();
+    let idle = UnixStream::connect(&server.socket).expect("idle client connects");
+    idle.set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut idle = BufReader::new(idle);
+    writeln!(idle.get_mut(), "{}", Request::Health.render()).unwrap();
+    let mut line = String::new();
+    idle.read_line(&mut line).expect("health answered");
+    assert!(
+        matches!(Response::parse(line.trim()), Ok(Response::Health { .. })),
+        "{line}"
+    );
+
+    let t0 = Instant::now();
+    server.stop(&mut client);
+    let took = t0.elapsed();
+    assert!(
+        took < Duration::from_millis(100),
+        "serve returned {took:?} after the drain"
+    );
+    line.clear();
+    assert_eq!(
+        idle.read_line(&mut line)
+            .expect("end-of-file, not a timeout"),
+        0,
+        "{line}"
     );
 }
