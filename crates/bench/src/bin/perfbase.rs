@@ -5,25 +5,30 @@
 //! ```
 //!
 //! Sweeps the `nemscmos-gen` generated circuit families — SRAM arrays
-//! from 4×4 up to 64×64 (tens to thousands of unknowns) and wide domino
-//! fanout trees — extracting each deck's DC Jacobian and measuring, on
+//! from 4×4 up to 64×64 (tens to thousands of unknowns), hybrid NEMFET
+//! arrays at 32×32 and 64×64, and wide domino fanout trees — extracting
+//! each deck's DC Jacobian and measuring, on
 //! the *same matrix*: minimum-degree ordering time, natural-order vs
 //! ordered factorization time and fill (nnz(L+U)), ordered
 //! refactor-replay time, and solve residuals for both paths. The
 //! natural-order factorization is measured only up to
 //! [`NATURAL_MAX_UNKNOWNS`] (sram-32x32); above it, it takes minutes and
-//! gigabytes, and its points cite `BENCH_10.json`, which recorded it.
+//! gigabytes, so it is not measured there (`BENCH_10.json` records
+//! sram-64x64's).
 //! SRAM decks then run a full transient under the default profile to
 //! prove the end-to-end path holds at scale. Writes the curve to `--out`
 //! (default `BENCH_10.json`, committed at the repo root).
 //!
-//! `--smoke` runs the two smallest SRAM sizes plus one domino tree
-//! without writing the file, asserting the ordering never worsens fill
-//! wherever both orders are measured, both factorizations solve to small
-//! residual, the transient records fill/ordering attribution, a
-//! sparse transient (sram-8x8, 178 unknowns) writes its device lanes
-//! through their resolved slots with no lane falling back to the
-//! per-push route, and the transient of a dense verify deck
+//! `--smoke` runs the two smallest SRAM sizes, the hybrid 8×8 array and
+//! one domino tree without writing the file, asserting the ordering never
+//! worsens fill wherever both orders are measured, both factorizations
+//! solve to small residual, the transient records fill/ordering
+//! attribution, sparse transients (sram-8x8 and sram-8x8-hybrid, 178
+//! unknowns) write their device lanes through their resolved slots with
+//! no lane falling back to the per-push route, the hybrid array thaws
+//! and re-factors from triplets no more often than its conventional
+//! twin (a NEMFET pull-in changes values, not the Jacobian pattern), and
+//! the transient of a dense verify deck
 //! (`nmos-cascade`, 7 unknowns) replays its compiled dense refactor:
 //! symbolic reuses recorded, and fewer refactor fallbacks than
 //! factorizations. `ci.sh` runs it.
@@ -32,6 +37,7 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use nemscmos::gen::{DominoTreeGen, GenDeck, SramArrayGen};
+use nemscmos::sram::SramKind;
 use nemscmos::tech::Technology;
 use nemscmos_bench::cli::Cli;
 use nemscmos_harness::{Json, JsonCodec};
@@ -197,7 +203,7 @@ fn measure_scaling(mut deck: GenDeck, with_transient: bool) -> ScalingPoint {
         point.nnz_a,
         match &point.natural {
             Some(nat) => format!("{:>9.2} ms / fill {:<8}", nat.ms, nat.fill),
-            None => format!("{:<26}", "in BENCH_10.json"),
+            None => format!("{:<26}", "not measured"),
         },
         point.ordered_ms,
         point.ordered_fill,
@@ -215,9 +221,16 @@ fn measure_scaling(mut deck: GenDeck, with_transient: bool) -> ScalingPoint {
 fn scaling_decks(smoke: bool) -> Vec<(GenDeck, bool)> {
     let tech = Technology::n90();
     let sram_sizes: &[usize] = if smoke { &[4, 8] } else { &[4, 8, 16, 32, 64] };
+    let hybrid_sizes: &[usize] = if smoke { &[8] } else { &[32, 64] };
     let mut decks: Vec<(GenDeck, bool)> = sram_sizes
         .iter()
-        .map(|&s| (SramArrayGen::new(s, s).build(&tech), true))
+        .map(|&s| SramArrayGen::new(s, s))
+        .chain(
+            hybrid_sizes
+                .iter()
+                .map(|&s| SramArrayGen::new(s, s).with_kind(SramKind::Hybrid)),
+        )
+        .map(|g| (g.build(&tech), true))
         .collect();
     if smoke {
         decks.push((DominoTreeGen::new(32, 64).build(&tech), false));
@@ -231,8 +244,9 @@ fn scaling_decks(smoke: bool) -> Vec<(GenDeck, bool)> {
 /// The scaling smoke contract: ordering never worsens fill where both
 /// orders are measured, every factorization solves accurately, the
 /// transient records the new attribution counters on decks above the
-/// ordering threshold, and sparse transients resolve every device lane
-/// with no per-push fallback.
+/// ordering threshold, sparse transients resolve every device lane
+/// with no per-push fallback, and a hybrid array's transient thaws and
+/// factors from triplets no more often than its conventional twin's.
 fn scaling_violations(points: &[ScalingPoint]) -> Vec<String> {
     let mut violations = Vec::new();
     for p in points {
@@ -271,6 +285,42 @@ fn scaling_violations(points: &[ScalingPoint]) -> Vec<String> {
     }
     if !points.iter().any(|p| p.tran.is_some()) {
         violations.push("no scaling deck ran a transient".into());
+    }
+    violations.extend(hybrid_twin_violations(points));
+    violations
+}
+
+/// A NEMFET pull-in changes values, not the Jacobian pattern: each
+/// hybrid array's transient thaws and factors from triplets no more
+/// often than its conventional twin's (same name without `-hybrid`).
+fn hybrid_twin_violations(points: &[ScalingPoint]) -> Vec<String> {
+    let tran = |name: &str| {
+        points
+            .iter()
+            .find(|p| p.name == name)
+            .and_then(|p| p.tran.as_ref())
+            .map(|(_, st)| st)
+    };
+    let mut violations = Vec::new();
+    for p in points {
+        let Some(twin) = p.name.strip_suffix("-hybrid") else {
+            continue;
+        };
+        let (Some(hyb), Some(conv)) = (tran(&p.name), tran(twin)) else {
+            violations.push(format!("{}: no transient beside `{twin}`", p.name));
+            continue;
+        };
+        if hyb.thaws > conv.thaws || hyb.triplet_factorizations > conv.triplet_factorizations {
+            violations.push(format!(
+                "{}: transient thawed {} times with {} triplet factorizations, \
+                 against {} and {} on {twin}",
+                p.name,
+                hyb.thaws,
+                hyb.triplet_factorizations,
+                conv.thaws,
+                conv.triplet_factorizations
+            ));
+        }
     }
     violations
 }
@@ -368,5 +418,35 @@ mod tests {
         assert_eq!(dense_replay_violation(&st), None);
         st.refactor_fallbacks = 10;
         assert!(dense_replay_violation(&st).is_some(), "all fell back");
+    }
+
+    fn point(name: &str, thaws: u64, triplet_factorizations: u64) -> ScalingPoint {
+        let mut st = SolverStats::ZERO;
+        st.thaws = thaws;
+        st.triplet_factorizations = triplet_factorizations;
+        ScalingPoint {
+            name: name.into(),
+            unknowns: 178,
+            nnz_a: 0,
+            ordering_ms: 0.0,
+            ordered_ms: 0.0,
+            refactor_ms: 0.0,
+            ordered_fill: 0,
+            ordered_residual: 0.0,
+            natural: None,
+            tran: Some((0.0, st)),
+        }
+    }
+
+    #[test]
+    fn hybrid_gate_compares_thaws_with_the_conventional_twin() {
+        let conv = point("sram-8x8", 1, 1);
+        let ok = [conv, point("sram-8x8-hybrid", 1, 1)];
+        assert!(hybrid_twin_violations(&ok).is_empty());
+        let conv = point("sram-8x8", 1, 1);
+        let thawing = [conv, point("sram-8x8-hybrid", 5, 5)];
+        assert_eq!(hybrid_twin_violations(&thawing).len(), 1);
+        let alone = [point("sram-8x8-hybrid", 0, 0)];
+        assert_eq!(hybrid_twin_violations(&alone).len(), 1, "no twin");
     }
 }

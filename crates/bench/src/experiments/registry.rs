@@ -7,6 +7,7 @@
 //! `perfbench/reference/paper-figures.txt`.
 
 use std::fmt::Write;
+use std::sync::{Mutex, PoisonError};
 
 use nemscmos::gates::PdnStyle;
 use nemscmos::tech::Technology;
@@ -69,10 +70,10 @@ pub const SECTIONS: &[Section] = &[
         dynamic_or::fig09(t).map(|c| dynamic_or::render_fig09(&c))
     }),
     Section::new("fig10", "Figure 10 — OR vs fan-out", |t| {
-        dynamic_or::fig10(t).map(|p| dynamic_or::render_fig10(&p))
+        FIG10.points(t).map(|p| dynamic_or::render_fig10(&p))
     }),
     Section::new("fig11", "Figure 11 — OR vs fan-in", |t| {
-        dynamic_or::fig11(t).map(|p| dynamic_or::render_fig11(&p))
+        FIG11.points(t).map(|p| dynamic_or::render_fig11(&p))
     }),
     Section::new("fig12", "Figure 12 — PDP vs activity", |t| {
         dynamic_or::fig12(t).map(|d| dynamic_or::render_fig12(&d))
@@ -266,6 +267,39 @@ fn fig09_monte_carlo(tech: &Technology) -> Result<String> {
     Ok(out)
 }
 
+/// A figure's gate sweep, run at most once per process and technology,
+/// so a figure and its extra (`fig10` and `fig10-headline`) share one
+/// sweep. A failed sweep is not kept.
+struct Sweep {
+    run: fn(&Technology) -> Result<Vec<GatePoint>>,
+    /// Finished sweeps, keyed by the technology's `Debug` text (as the
+    /// harness keys its jobs).
+    done: Mutex<Vec<(String, Vec<GatePoint>)>>,
+}
+
+impl Sweep {
+    const fn new(run: fn(&Technology) -> Result<Vec<GatePoint>>) -> Sweep {
+        Sweep {
+            run,
+            done: Mutex::new(Vec::new()),
+        }
+    }
+
+    fn points(&self, tech: &Technology) -> Result<Vec<GatePoint>> {
+        let key = format!("{tech:?}");
+        let mut done = self.done.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some((_, points)) = done.iter().find(|(k, _)| *k == key) {
+            return Ok(points.clone());
+        }
+        let points = (self.run)(tech)?;
+        done.push((key, points.clone()));
+        Ok(points)
+    }
+}
+
+static FIG10: Sweep = Sweep::new(dynamic_or::fig10);
+static FIG11: Sweep = Sweep::new(dynamic_or::fig11);
+
 /// The CMOS and hybrid figures of the gate point `pick` accepts.
 fn cmos_and_hybrid(
     points: &[GatePoint],
@@ -284,7 +318,7 @@ fn cmos_and_hybrid(
 /// The paper's headline: 60–80% switching-power saving at a 10–20%
 /// delay penalty across fan-out.
 fn fig10_headline(tech: &Technology) -> Result<String> {
-    let points = dynamic_or::fig10(tech)?;
+    let points = FIG10.points(tech)?;
     let mut out = String::new();
     for fo in [1usize, 5] {
         let (c, h) = cmos_and_hybrid(&points, |p| p.fan_out == fo)?;
@@ -301,7 +335,7 @@ fn fig10_headline(tech: &Technology) -> Result<String> {
 /// The paper's crossover: beyond fan-in ~12 the hybrid gate wins on
 /// both delay and switching power.
 fn fig11_ratios(tech: &Technology) -> Result<String> {
-    let points = dynamic_or::fig11(tech)?;
+    let points = FIG11.points(tech)?;
     let mut out = String::new();
     for fi in [4usize, 8, 12, 16] {
         let (c, h) = cmos_and_hybrid(&points, |p| p.fan_in == fi)?;

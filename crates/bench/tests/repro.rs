@@ -1,6 +1,6 @@
 //! Drives the `repro` binary: explicit ids print exactly their sections
-//! in order, a group expands in place, and an unknown id is a usage
-//! error that lists the valid ids.
+//! in order, a group expands in place, a figure and its extra run one
+//! sweep, and an unknown id is a usage error that lists the valid ids.
 
 use std::process::{Command, Output};
 
@@ -73,4 +73,14 @@ fn a_group_expands_to_its_sections_in_order() {
         .map(|id| format!("=== {} ===", registry::section(id).unwrap().header))
         .collect();
     assert_eq!(headers(&text), want);
+}
+
+#[test]
+fn a_figure_and_its_extra_share_one_sweep() {
+    let text = stdout(&repro(&["fig10", "fig10-headline"]));
+    let sweeps = text
+        .lines()
+        .filter(|l| *l == "== harness report: fig10: OR8 fan-out sweep ==")
+        .count();
+    assert_eq!(sweeps, 1, "{text}");
 }

@@ -117,18 +117,21 @@ impl Device for Nemfet {
     fn load(&self, x: &Solution<'_>, _ctx: &LoadContext, st: &mut Stamper) {
         let g_off = self.model.g_off_per_um * self.width_um;
         st.conductance(self.d, self.s, g_off, x.v(self.d), x.v(self.s));
-        if self.state.pulled_in {
-            let (i, dg, dd, ds) =
-                self.model
-                    .contact
-                    .ids(x.v(self.g), x.v(self.d), x.v(self.s), self.width_um);
-            st.nonlinear_current(
-                self.d,
-                self.s,
-                i,
-                &[(self.g, dg), (self.d, dd), (self.s, ds)],
-            );
-        }
+        // A released beam stamps its channel with zeros rather than not at
+        // all, so the Jacobian pattern is the same in both contact states.
+        let (i, dg, dd, ds) = if self.state.pulled_in {
+            self.model
+                .contact
+                .ids(x.v(self.g), x.v(self.d), x.v(self.s), self.width_um)
+        } else {
+            (0.0, 0.0, 0.0, 0.0)
+        };
+        st.nonlinear_current(
+            self.d,
+            self.s,
+            i,
+            &[(self.g, dg), (self.d, dd), (self.s, ds)],
+        );
     }
 
     fn commit(&mut self, x: &Solution<'_>, ctx: &LoadContext) -> bool {
@@ -169,9 +172,9 @@ impl Device for Nemfet {
         // Type tag 2 (vs. the Mosfet's 1). Only the contact-state EKV
         // card enters `batch_eval`; the leakage conductance, hysteresis
         // thresholds, and mechanical state are all per-instance (the lane
-        // carries the leak conductance and the contact bit), so they stay
-        // out of the key — beams in different pull-in states share a
-        // batch via `bin`.
+        // carries the leak conductance, and the contact state in its
+        // width constant), so they stay out of the key — beams in
+        // different pull-in states share a batch.
         Some(batch_key_word(self.model.contact.eval_fingerprint(), 2))
     }
 
@@ -180,11 +183,17 @@ impl Device for Nemfet {
         for n in [self.g, self.d, self.s] {
             lane.voltage(n);
         }
-        lane.constant(self.width_um);
+        // The contact state travels as the channel width: the beam's width
+        // while it touches, 0 while it is released (the width itself is
+        // strictly positive).
+        let channel_um = if self.state.pulled_in {
+            self.width_um
+        } else {
+            0.0
+        };
+        lane.constant(channel_um);
         let g_off = lane.constant(self.model.g_off_per_um * self.width_um);
         lane.conductance(self.d, self.s, Col::Out(4), g_off);
-        // The channel stamps only while the beam is in contact.
-        lane.contact(self.state.pulled_in);
         lane.nonlinear_current(
             self.d,
             self.s,
@@ -200,11 +209,10 @@ impl Device for Nemfet {
 
     fn batch_eval(&self, _ctx: &LoadContext, batch: &mut EvalBatch) {
         let [vg, vd, vs, w, g_off] = &batch.vin;
-        let lanes = vg.iter().zip(vd).zip(vs).zip(w).zip(g_off).zip(&batch.bin);
-        for (((((&vg, &vd), &vs), &w), &g_off), &closed) in lanes {
-            // Released lanes stamp no channel current; push zeros to keep
-            // the output columns lane-aligned.
-            let (i, dg, dd, ds) = if closed {
+        let lanes = vg.iter().zip(vd).zip(vs).zip(w).zip(g_off);
+        for ((((&vg, &vd), &vs), &w), &g_off) in lanes {
+            // A released lane (width 0) stamps zeros, as `load` does.
+            let (i, dg, dd, ds) = if w > 0.0 {
                 self.model.contact.ids(vg, vd, vs, w)
             } else {
                 (0.0, 0.0, 0.0, 0.0)

@@ -16,7 +16,11 @@
 //!   `v_pull_in`, exercising the discrete pull-in re-solve and the
 //!   commit/reset state machine. It runs on the default (dense) backend
 //!   and again pinned to the frozen, ordered sparse path, where lanes
-//!   write straight into their resolved CSC slots.
+//!   write straight into their resolved CSC slots. A NEMFET's contact
+//!   state changes values only, never the Jacobian pattern, so some
+//!   chains also carry a keyless [`PatternSwitch`], whose committed state
+//!   does change the pattern and drives the thaw / re-freeze /
+//!   re-resolve path.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -389,7 +393,7 @@ fn batch_partition_groups_by_key_and_leaves_dynamics_scalar() {
                             );
                         }
                         (DevSpec::Nems { nmos: na, .. }, DevSpec::Nems { nmos: nb, .. }) => {
-                            // Pull-in state is per-lane (`bin`), never in
+                            // Pull-in state is a lane constant, never in
                             // the key: same polarity ⇒ same batch.
                             prop_check!(
                                 (na == nb) == (ka == kb),
@@ -425,6 +429,8 @@ struct CktSpec {
     /// DC drive (exercises the pull-in re-solve inside `op`) vs a step
     /// (exercises the dwell-gated transient transition).
     step: bool,
+    /// Whether the chain carries a [`PatternSwitch`] on the drive.
+    switch: bool,
 }
 
 fn ckt_spec(d: &mut Draws) -> CktSpec {
@@ -437,6 +443,47 @@ fn ckt_spec(d: &mut Draws) -> CktSpec {
         }),
         v_hi: d.f64_in(0.1, 1.2),
         step: d.bool(),
+        switch: d.bool(),
+    }
+}
+
+/// A keyless device whose committed state changes the Jacobian pattern:
+/// a leak from `a` to ground plus, only while on, a current `G_ON ·
+/// v(ctrl)` out of `a`, whose one extra Jacobian entry is `(a, ctrl)`.
+/// It turns on when a commit sees `v(ctrl)` at or above
+/// [`PatternSwitch::THRESHOLD`], and off below it. On the frozen sparse
+/// path every flip thaws the pattern, so the next solve re-freezes and
+/// every lane re-resolves.
+#[derive(Debug)]
+struct PatternSwitch {
+    a: NodeId,
+    ctrl: NodeId,
+    on: bool,
+}
+
+impl PatternSwitch {
+    const THRESHOLD: f64 = 0.5;
+    const G_LEAK: f64 = 1e-9;
+    const G_ON: f64 = 1e-6;
+}
+
+impl Device for PatternSwitch {
+    fn name(&self) -> &str {
+        "sw"
+    }
+    fn load(&self, x: &Solution<'_>, _ctx: &LoadContext, st: &mut Stamper) {
+        st.conductance(self.a, NodeId::GROUND, Self::G_LEAK, x.v(self.a), 0.0);
+        if self.on {
+            st.f_node(self.a, Self::G_ON * x.v(self.ctrl));
+            st.j_node(self.a, self.ctrl, Self::G_ON);
+        }
+    }
+    fn commit(&mut self, x: &Solution<'_>, _ctx: &LoadContext) -> bool {
+        let on = x.v(self.ctrl) >= Self::THRESHOLD;
+        std::mem::replace(&mut self.on, on) != on
+    }
+    fn reset_state(&mut self) {
+        self.on = false;
     }
 }
 
@@ -492,6 +539,15 @@ fn build_chain(spec: &CktSpec, unbatched: bool) -> (Circuit, Vec<NodeId>) {
         Waveform::dc(spec.v_hi)
     };
     ckt.vsource(drive, Circuit::GROUND, wave);
+    if spec.switch {
+        // First in the device list, so every lane stamps behind the
+        // entry it adds or drops.
+        ckt.add_device(PatternSwitch {
+            a: vdd,
+            ctrl: drive,
+            on: false,
+        });
+    }
     let mut gate = drive;
     let mut outs = vec![drive];
     for (k, stage) in spec.stages.iter().enumerate() {
@@ -584,8 +640,9 @@ fn compare_chain(spec: &CktSpec) -> Result<stats::SolverStats, String> {
 /// the dense limit) and pinned to the frozen, ordered sparse path, where
 /// lanes written straight into their resolved CSC slots must stamp
 /// bitwise what `load` stamps push by push. There every case resolves its
-/// lanes, and NEMFET pull-in crossings make some cases thaw, re-freeze
-/// and re-resolve.
+/// lanes; a case without a [`PatternSwitch`] never sends a lane back to
+/// the per-push route, NEMFET pull-in crossings included, and switch
+/// flips make some cases thaw, re-freeze and re-resolve.
 #[test]
 fn batched_and_scalar_trajectories_are_bitwise_identical() {
     let sparse = SolveProfile {
@@ -605,14 +662,22 @@ fn batched_and_scalar_trajectories_are_bitwise_identical() {
                 frozen.resolved_lanes > 0,
                 "no lane was written through its resolved slots: {frozen:?}"
             );
-            if frozen.thaws > 0 && spec.stages.iter().any(|s| s.nems) {
-                rethawed.fetch_add(1, Ordering::Relaxed);
+            if spec.switch {
+                if frozen.thaws > 0 {
+                    rethawed.fetch_add(1, Ordering::Relaxed);
+                }
+            } else {
+                prop_check!(
+                    frozen.lane_fallbacks == 0,
+                    "{} lanes fell back to the per-push route: {frozen:?}",
+                    frozen.lane_fallbacks
+                );
             }
             Ok(())
         },
     );
     assert!(
         rethawed.load(Ordering::Relaxed) > 0,
-        "no case crossed a NEMFET pull-in on the frozen sparse path"
+        "no case flipped a pattern switch on the frozen sparse path"
     );
 }

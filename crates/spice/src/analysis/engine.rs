@@ -78,8 +78,6 @@ struct SlotLane {
     /// Resolved residual rows, then CSC slots.
     residuals: u16,
     entries: u16,
-    /// The contact bit the lane was resolved with.
-    closed: bool,
 }
 
 impl SlotLane {
@@ -124,12 +122,11 @@ struct LaneSlots {
 
 /// How a lane's record compares with the tape it is about to stamp.
 enum SlotMatch {
-    /// Resolved at this position of this freeze, with this contact bit.
+    /// Resolved at this position of this freeze.
     Hit,
     /// Not resolved on this freeze: this assembly resolves it.
     Unresolved,
-    /// Resolved on this freeze, but elsewhere on the tape or with the
-    /// other contact bit.
+    /// Resolved on this freeze, but at another tape position.
     Moved,
 }
 
@@ -150,7 +147,6 @@ impl LaneSlots {
                 start,
                 residuals: 0,
                 entries: 0,
-                closed: false,
             })
             .collect();
         self.ops = vec![SlotOp::default(); plan.stamps.len()];
@@ -169,7 +165,7 @@ impl LaneSlots {
     }
 
     #[inline]
-    fn check(&mut self, g: usize, freeze: u64, pos: usize, closed: bool) -> SlotMatch {
+    fn check(&mut self, g: usize, freeze: u64, pos: usize) -> SlotMatch {
         if self.freeze != freeze {
             // A new freeze: every resolution belongs to an older one.
             self.freeze = freeze;
@@ -178,7 +174,7 @@ impl LaneSlots {
             }
         }
         let lane = &self.lanes[g];
-        if lane.pos as usize == pos && lane.closed == closed {
+        if lane.pos as usize == pos {
             SlotMatch::Hit
         } else if lane.pos == SlotLane::UNRESOLVED {
             SlotMatch::Unresolved
@@ -236,14 +232,13 @@ impl LaneSlots {
     }
 
     /// Records where lane `g` of `plan` landed: the residual rows of its
-    /// active `stamps` (contact `closed`), and `slots`, the CSC slots of
-    /// its Jacobian pushes from tape position `pos`.
+    /// `stamps`, and `slots`, the CSC slots of its Jacobian pushes from
+    /// tape position `pos`.
     fn resolve(
         &mut self,
         plan: &BatchPlan,
         g: usize,
         stamps: &[LaneStamp],
-        closed: bool,
         pos: usize,
         slots: &[u32],
     ) {
@@ -260,9 +255,8 @@ impl LaneSlots {
                     0
                 }
         };
-        let active = || stamps.iter().filter(move |s| s.active(closed));
-        let residuals = active().filter(|s| s.col == LaneStamp::RESIDUAL);
-        let entries = active().filter(|s| s.col != LaneStamp::RESIDUAL);
+        let residuals = stamps.iter().filter(|s| s.col == LaneStamp::RESIDUAL);
+        let entries = stamps.iter().filter(|s| s.col != LaneStamp::RESIDUAL);
         let (Ok(n_res), Ok(n_ent)) = (
             u16::try_from(residuals.clone().count()),
             u16::try_from(slots.len()),
@@ -285,7 +279,6 @@ impl LaneSlots {
             pos: u32::try_from(pos).unwrap_or(SlotLane::UNRESOLVED),
             residuals: n_res,
             entries: n_ent,
-            closed,
             ..*lane
         };
     }
@@ -613,11 +606,10 @@ fn assemble(
                 continue;
             }
             let g = g as usize;
-            let closed = plan.closed[g];
             let mut resolve_at = None;
             if let Some(tape) = st.lane_tape() {
                 let (freeze, pos) = (tape.freeze, *tape.cursor);
-                match slots.check(g, freeze, pos, closed) {
+                match slots.check(g, freeze, pos) {
                     SlotMatch::Hit => {
                         if slots.stage(plan, scratch) {
                             slots.write(g, tape);
@@ -635,10 +627,10 @@ fn assemble(
             let batch = scratch[c].get_mut().unwrap_or_else(PoisonError::into_inner);
             let stamps = plan.lane_stamps(g);
             st.set_section(StampSection::Device(i));
-            stamp_lane(stamps, closed, batch, l, st);
+            stamp_lane(stamps, batch, l, st);
             if let Some((freeze, pos)) = resolve_at {
                 if let Some(tape) = st.tape_slots(freeze, pos) {
-                    slots.resolve(plan, g, stamps, closed, pos, tape);
+                    slots.resolve(plan, g, stamps, pos, tape);
                 }
             }
         }
@@ -683,7 +675,7 @@ fn eval_chunks(
     let eval = |c: usize| devices[plan.chunks[c].rep].batch_eval(ctx, &mut lock(&scratch[c]));
     crate::par::evaluate(&eval, plan.chunks.len(), plan.lanes, |job| {
         for (c, chunk) in plan.chunks.iter().enumerate() {
-            chunk.gather(x, &plan.closed, &mut lock(&scratch[c]));
+            chunk.gather(x, &mut lock(&scratch[c]));
             job.gathered();
         }
         linear()

@@ -19,8 +19,9 @@ pub(crate) const CHUNK: usize = 256;
 ///
 /// Every batched device's [`Lane`] is compiled into the plan: its chunk's
 /// gather columns (unknown indices or constants) and its stamps, stored
-/// flat in global lane order. Only the contact bits change afterwards,
-/// when a commit reports a discrete change ([`Circuit::commit_devices`]).
+/// flat in global lane order. Only the constants change afterwards, when
+/// a commit reports a discrete change ([`Circuit::commit_devices`]) or
+/// a reset; the stamps, and with them the Jacobian pattern, never do.
 ///
 /// Batches are ordered by first appearance of their key, lanes within a
 /// batch follow ascending device index, and chunks cut each batch in lane
@@ -42,8 +43,6 @@ pub(crate) struct BatchPlan {
     pub stamps: Vec<LaneStamp>,
     /// Lane `g` owns `stamps[stamp_start[g]..stamp_start[g + 1]]`.
     pub stamp_start: Vec<u32>,
-    /// Each lane's contact bit (`false` for lanes without one).
-    pub closed: Vec<bool>,
 }
 
 impl BatchPlan {
@@ -62,7 +61,6 @@ impl BatchPlan {
             self.stamps.extend_from_slice(&lane.stamps);
             let end = u32::try_from(self.stamps.len()).expect("lane stamps fit u32");
             self.stamp_start.push(end);
-            self.closed.push(lane.contact.unwrap_or(false));
         }
         let inputs = (0..lanes[0].inputs.len())
             .map(|k| match lanes[0].inputs[k] {
@@ -98,7 +96,6 @@ impl BatchPlan {
             first_lane,
             len: lanes.len(),
             inputs,
-            contact: lanes[0].contact.is_some(),
             sources,
         });
     }
@@ -116,12 +113,26 @@ impl BatchPlan {
         &self.stamps[self.stamp_start[g] as usize..self.stamp_start[g + 1] as usize]
     }
 
-    /// Re-reads device `i`'s contact bit after a commit changed its
+    /// Re-reads device `i`'s lane constants after a commit changed its
     /// discrete state (or a reset). A no-op for unbatched devices and
     /// before the plan is built.
     fn refresh(&mut self, i: usize, dev: &dyn Device) {
-        if let Some(&g) = self.device_lane.get(i).filter(|&&g| g != Self::NO_LANE) {
-            self.closed[g as usize] = dev.lane().and_then(|lane| lane.contact).unwrap_or(false);
+        let Some(&g) = self.device_lane.get(i).filter(|&&g| g != Self::NO_LANE) else {
+            return;
+        };
+        let Some(lane) = dev.lane() else {
+            return;
+        };
+        debug_assert_eq!(
+            lane.stamps,
+            self.lane_stamps(g as usize),
+            "device {i}'s lane stamps changed with its state"
+        );
+        let (c, l) = self.chunk_lane(g as usize);
+        for (input, now) in self.chunks[c].inputs.iter_mut().zip(&lane.inputs) {
+            if let (ChunkInput::Constants(values), &LaneInput::Constant(v)) = (input, now) {
+                values[l] = v;
+            }
         }
     }
 }
@@ -141,8 +152,6 @@ pub(crate) struct Chunk {
     pub len: usize,
     /// What each input column is gathered from, lane by lane.
     pub inputs: Vec<ChunkInput>,
-    /// Whether the lanes carry a contact bit.
-    pub contact: bool,
     /// Bit `k` set when some stamp reads batch column `k` (inputs
     /// `0..LANE_COLUMNS`, then outputs).
     pub sources: u16,
@@ -159,9 +168,9 @@ pub(crate) enum ChunkInput {
 }
 
 impl Chunk {
-    /// Fills `batch`'s input and contact columns for candidate `x` from
-    /// node indices and constants, with no call into the devices.
-    pub fn gather(&self, x: &[f64], closed: &[bool], batch: &mut EvalBatch) {
+    /// Fills `batch`'s input columns for candidate `x` from node indices
+    /// and constants, with no call into the devices.
+    pub fn gather(&self, x: &[f64], batch: &mut EvalBatch) {
         batch.clear();
         for (col, input) in batch.vin.iter_mut().zip(&self.inputs) {
             match input {
@@ -171,11 +180,6 @@ impl Chunk {
                 ),
                 ChunkInput::Constants(values) => col.extend_from_slice(values),
             }
-        }
-        if self.contact {
-            batch
-                .bin
-                .extend_from_slice(&closed[self.first_lane..self.first_lane + self.len]);
         }
         // Reserve the output columns here so that `batch_eval` never
         // allocates, whichever thread runs it.
@@ -567,9 +571,9 @@ impl Circuit {
     }
 
     /// Commits the converged solution `x` to every device (see
-    /// [`Device::commit`]), re-reading the contact bit of each batched
-    /// lane whose device reports a discrete change. Returns whether any
-    /// device did.
+    /// [`Device::commit`]), re-reading the constants of each batched lane
+    /// whose device reports a discrete change. Returns whether any device
+    /// did.
     pub(crate) fn commit_devices(&mut self, x: &Solution<'_>, ctx: &LoadContext) -> bool {
         let mut changed = false;
         for (i, d) in self.devices.iter_mut().enumerate() {

@@ -121,24 +121,20 @@ pub const LANE_COLUMNS: usize = 5;
 /// Structure-of-arrays scratch columns for one chunk of a homogeneous
 /// device batch.
 ///
-/// The engine gathers every chunk member's inputs into the `vin`/`bin`
-/// columns as its [`Lane`] describes them, has one representative member
+/// The engine gathers every chunk member's inputs into the `vin` columns
+/// as its [`Lane`] describes them, has one representative member
 /// evaluate the whole chunk into `out` in a tight slice loop, and then
 /// stamps each lane's outputs as its [`Lane`] describes, in the original
-/// per-device order. [`LANE_COLUMNS`] `f64` columns each way plus one
-/// `bool` column cover the three-terminal conduction models in this
-/// workspace (gate / drain / source voltage, width and leak conductance
-/// in; current, three partials and leak current out); columns a batch
-/// does not use stay empty.
+/// per-device order. [`LANE_COLUMNS`] columns each way cover the
+/// three-terminal conduction models in this workspace (gate / drain /
+/// source voltage, width and leak conductance in; current, three
+/// partials and leak current out); columns a batch does not use stay
+/// empty.
 #[derive(Debug)]
 pub struct EvalBatch {
-    /// Per-lane `f64` input columns, in the order the lane declared them.
+    /// Per-lane input columns, in the order the lane declared them.
     pub vin: [Vec<f64>; LANE_COLUMNS],
-    /// Per-lane contact column (e.g. a NEMFET's pull-in flag, see
-    /// [`Lane::contact`]), letting devices in different hysteresis states
-    /// share a batch. Empty for lanes without a contact bit.
-    pub bin: Vec<bool>,
-    /// Per-lane `f64` output columns filled by [`Device::batch_eval`].
+    /// Per-lane output columns filled by [`Device::batch_eval`].
     pub out: [Vec<f64>; LANE_COLUMNS],
 }
 
@@ -147,18 +143,13 @@ impl EvalBatch {
     pub fn new() -> EvalBatch {
         EvalBatch {
             vin: Default::default(),
-            bin: Vec::new(),
             out: Default::default(),
         }
     }
 
     /// Empties every column, keeping the allocated capacity.
     pub fn clear(&mut self) {
-        for c in &mut self.vin {
-            c.clear();
-        }
-        self.bin.clear();
-        for c in &mut self.out {
+        for c in self.vin.iter_mut().chain(&mut self.out) {
             c.clear();
         }
     }
@@ -191,7 +182,8 @@ impl Default for EvalBatch {
 /// A column of an [`EvalBatch`] that a lane stamp reads its value from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Col {
-    /// Input column `k` (a gathered voltage or a per-instance constant).
+    /// Input column `k` (a gathered voltage or a per-instance constant,
+    /// discrete device state included).
     In(usize),
     /// Output column `k`, filled by [`Device::batch_eval`].
     Out(usize),
@@ -217,7 +209,7 @@ pub(crate) struct LaneStamp {
     /// Jacobian column, or [`LaneStamp::RESIDUAL`].
     pub col: u32,
     /// Source column (`0..LANE_COLUMNS` inputs, then outputs) in the low
-    /// bits, plus the [`LaneStamp::NEG`] and [`LaneStamp::GATED`] flags.
+    /// bits, plus the [`LaneStamp::NEG`] flag.
     pub src: u8,
 }
 
@@ -226,16 +218,8 @@ impl LaneStamp {
     pub const RESIDUAL: u32 = u32::MAX;
     /// Flag: the value is negated.
     pub const NEG: u8 = 0x80;
-    /// Flag: the stamp is skipped while the lane's contact is open.
-    pub const GATED: u8 = 0x40;
     /// Mask of the source column.
-    pub const COLUMN: u8 = 0x3f;
-
-    /// Whether the stamp is active for a lane whose contact is `closed`.
-    #[inline]
-    pub fn active(self, closed: bool) -> bool {
-        closed || self.src & LaneStamp::GATED == 0
-    }
+    pub const COLUMN: u8 = 0x7f;
 }
 
 /// A batched device's lane, stated once when the circuit's batch plan is
@@ -246,7 +230,12 @@ impl LaneStamp {
 /// The builder methods mirror the [`Stamper`] calls of a `load`
 /// (`current`, `conductance`, `nonlinear_current`) with batch columns in
 /// place of values, so a lane is written next to the `load` it replays.
-/// Stamps declared after [`Lane::contact`] are gated on the contact bit.
+/// The stamp list must not depend on the device's state: discrete state
+/// (a NEMFET's contact) travels as a [`Lane::constant`] that
+/// [`Device::batch_eval`] reads, and a stamp that state switches off
+/// stamps a zero. The Jacobian pattern is then a function of the netlist
+/// and the analysis mode alone, so a state change moves values, never
+/// the frozen pattern.
 ///
 /// [`Lane::stamp`] interprets the description through the `Stamper` API
 /// (dense, triplet and frozen alike); the engine additionally resolves
@@ -255,7 +244,6 @@ impl LaneStamp {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Lane {
     pub(crate) inputs: Vec<LaneInput>,
-    pub(crate) contact: Option<bool>,
     pub(crate) stamps: Vec<LaneStamp>,
 }
 
@@ -266,8 +254,7 @@ impl Lane {
     }
 
     /// The lane's shape, which every lane of a batch must share: how many
-    /// input columns, which of them are voltages, and whether it has a
-    /// contact bit.
+    /// input columns, and which of them are voltages.
     pub(crate) fn shape(&self) -> u16 {
         let voltages = self
             .inputs
@@ -275,7 +262,7 @@ impl Lane {
             .enumerate()
             .filter(|(_, input)| matches!(input, LaneInput::Voltage(_)))
             .fold(0u16, |m, (k, _)| m | 1 << k);
-        self.inputs.len() as u16 | voltages << 4 | u16::from(self.contact.is_some()) << 12
+        self.inputs.len() as u16 | voltages << 4
     }
 
     fn input(&mut self, input: LaneInput) -> Col {
@@ -293,17 +280,11 @@ impl Lane {
     }
 
     /// Places the per-instance constant `v` in the next input column.
+    /// The engine re-reads a lane's constants (by describing the lane
+    /// again) only after [`Device::commit`] reports a discrete change and
+    /// after [`Device::reset_state`], so discrete state may travel here.
     pub fn constant(&mut self, v: f64) -> Col {
         self.input(LaneInput::Constant(v))
-    }
-
-    /// Declares the lane's contact bit, gathered into [`EvalBatch::bin`].
-    /// Every stamp declared afterwards is skipped while it is open. The
-    /// engine re-reads the bit (by describing the lane again) only after
-    /// [`Device::commit`] reports a discrete change and after
-    /// [`Device::reset_state`].
-    pub fn contact(&mut self, closed: bool) {
-        self.contact = Some(closed);
     }
 
     fn push(&mut self, row: NodeId, col: Option<NodeId>, src: Col, neg: bool) {
@@ -318,17 +299,10 @@ impl Lane {
             return;
         }
         let index = |n: NodeId| u32::try_from(n.index() - 1).expect("node index fits u32");
-        let mut flags = 0;
-        if neg {
-            flags |= LaneStamp::NEG;
-        }
-        if self.contact.is_some() {
-            flags |= LaneStamp::GATED;
-        }
         self.stamps.push(LaneStamp {
             row: index(row),
             col: col.map_or(LaneStamp::RESIDUAL, index),
-            src: src | flags,
+            src: if neg { src | LaneStamp::NEG } else { src },
         });
     }
 
@@ -370,8 +344,7 @@ impl Lane {
         }
     }
 
-    /// Appends this lane's inputs to `batch`: one value per input column,
-    /// plus the contact bit when the lane has one.
+    /// Appends this lane's inputs to `batch`: one value per input column.
     pub fn gather(&self, x: &Solution<'_>, batch: &mut EvalBatch) {
         for (col, input) in batch.vin.iter_mut().zip(&self.inputs) {
             col.push(match *input {
@@ -379,30 +352,21 @@ impl Lane {
                 LaneInput::Constant(v) => v,
             });
         }
-        if let Some(closed) = self.contact {
-            batch.bin.push(closed);
-        }
     }
 
     /// Stamps lane `lane` of the evaluated `batch` through `st`, one
-    /// push per active stamp, in declaration order: the route every
-    /// backend supports and the frozen pattern verifies push by push.
+    /// push per stamp, in declaration order: the route every backend
+    /// supports and the frozen pattern verifies push by push.
     pub fn stamp(&self, batch: &EvalBatch, lane: usize, st: &mut Stamper) {
-        stamp_lane(&self.stamps, self.contact.unwrap_or(false), batch, lane, st);
+        stamp_lane(&self.stamps, batch, lane, st);
     }
 }
 
-/// The per-push route of one lane: `stamps` with contact `closed`,
-/// valued from lane `lane` of `batch`.
+/// The per-push route of one lane: `stamps` valued from lane `lane` of
+/// `batch`.
 #[inline]
-pub(crate) fn stamp_lane(
-    stamps: &[LaneStamp],
-    closed: bool,
-    batch: &EvalBatch,
-    lane: usize,
-    st: &mut Stamper,
-) {
-    for s in stamps.iter().filter(|s| s.active(closed)) {
+pub(crate) fn stamp_lane(stamps: &[LaneStamp], batch: &EvalBatch, lane: usize, st: &mut Stamper) {
+    for s in stamps {
         let v = batch.value(s.src, lane);
         if s.col == LaneStamp::RESIDUAL {
             st.f(s.row as usize, v);
@@ -432,7 +396,10 @@ pub(crate) fn stamp_lane(
 /// on the batch's first member, and stamps every lane in the original
 /// global device order. A lane's stamps must be *exactly* the
 /// stamp-call sequence [`Device::load`] would produce, so a batched
-/// instance stamps bitwise what it would stamp without a key.
+/// instance stamps bitwise what it would stamp without a key. Both must
+/// push the same sequence in every device state: discrete state is a
+/// lane constant, and an entry that the state switches off is stamped
+/// with a zero, not skipped (see [`Lane`]).
 ///
 /// Lanes are stamped one of two ways, bitwise alike. The per-push route
 /// ([`Lane::stamp`]) goes through the [`Stamper`] API and serves the
@@ -443,7 +410,7 @@ pub(crate) fn stamp_lane(
 /// them.
 ///
 /// Key contract: equal keys imply the same concrete device type, the same
-/// lane shape (input columns, contact bit) and output column usage, and
+/// lane shape (input columns) and output column usage, and
 /// bitwise-equal model parameters for everything [`Device::batch_eval`]
 /// reads from `self` — per-instance values (terminal nodes, width,
 /// discrete state) must travel through the lane instead. Build keys by
@@ -507,8 +474,8 @@ pub trait Device: std::fmt::Debug + Send + Sync {
 
     /// This instance's lane in its batch (see the trait's *Batched
     /// evaluation* section), or `None` to load through [`Device::load`].
-    /// Called when the batch plan is built, and again — for its contact
-    /// bit only — after [`Device::commit`] reports a discrete change and
+    /// Called when the batch plan is built, and again — for its constants
+    /// only — after [`Device::commit`] reports a discrete change and
     /// after [`Device::reset_state`].
     fn lane(&self) -> Option<Lane> {
         None

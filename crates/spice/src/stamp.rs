@@ -32,7 +32,12 @@
 //!   sequence that deviates from the frozen one thaws back to triplets;
 //!   that solve compresses them through the same pipeline and caches its
 //!   factorization, and the next solve re-freezes (and refactors it if
-//!   the pattern held).
+//!   the pattern held). Batched device lanes push the same sequence in
+//!   every device state (a released NEMFET stamps zeros, see
+//!   [`Lane`](crate::device::Lane)), so their state changes move values
+//!   only; what still thaws is a change of analysis mode (the capacitor
+//!   companions and IC clamps of DC vs. transient), a keyless device
+//!   whose pushes follow its state, and fault injection.
 //! * **Slot-resolved device lanes** — every freeze gets a fresh id. On
 //!   the first assembly that replays a frozen pattern the engine stamps
 //!   each batched device lane push by push (each one checked against the
@@ -40,9 +45,10 @@
 //!   landed in, keyed by the freeze id and the lane's tape position.
 //!   Later assemblies on the same freeze write each lane's outputs
 //!   straight into those slots, in global device order, and advance the
-//!   tape cursor past them (see `Stamper::lane_tape`). A lane whose key
-//!   does not match, or whose outputs are non-finite, stamps push by push
-//!   again, which verifies, thaws and attributes as always.
+//!   tape cursor past them (see `Stamper::lane_tape`). A lane whose
+//!   freeze or tape position does not match, or whose outputs are
+//!   non-finite, stamps push by push again, which verifies, thaws and
+//!   attributes as always.
 //! * **Symbolic LU reuse** — sparse factorizations keep their column
 //!   order, pivot order and reach ([`SparseLu::factor_symbolic`]);
 //!   subsequent solves replay a numeric-only refactorization whose guards

@@ -196,9 +196,9 @@ counter_table! {
     /// frozen pattern (see [`crate::stamp`]), summed over assemblies.
     resolved_lanes: ResolvedLanes = "lanes_resolved", optional;
     /// Device lanes that took the per-push route on a frozen pattern
-    /// they had already been resolved on — at another tape position, with
-    /// the other contact bit, or with non-finite outputs. A lane's first
-    /// assembly on each freeze, which resolves it, is not counted.
+    /// they had already been resolved on — at another tape position, or
+    /// with non-finite outputs. A lane's first assembly on each freeze,
+    /// which resolves it, is not counted.
     lane_fallbacks: LaneFallbacks = "lane_fb", optional;
 }
 

@@ -1,18 +1,20 @@
-//! Banded snapshot above the sparse ordering threshold: a generated
-//! 16×16 SRAM array (602 unknowns, so the sparse solver orders its
-//! columns), its probes decimated to a fixed grid and committed as
-//! `golden/banded/sram-16x16.json`.
+//! Banded snapshots above the sparse ordering threshold: generated
+//! 16×16 SRAM arrays (602 unknowns, so the sparse solver orders their
+//! columns), conventional and hybrid (NEMFET pull-up and pull-down
+//! cells), their probes decimated to a fixed grid and committed as
+//! `golden/banded/<deck>.json`.
 //!
 //! Unlike the byte-exact goldens it is checked within a 1 mV band per
 //! sample ([`compare::series`]): a change of elimination order moves the
 //! waveforms only at round-off level, so it is judged against the band
 //! instead of re-blessed, while a wrong stored bit misses by about a
-//! volt. Set `NEMSCMOS_BLESS=1` to rewrite the snapshot.
+//! volt. Set `NEMSCMOS_BLESS=1` to rewrite the snapshots.
 
 use std::fs;
 use std::path::PathBuf;
 
 use nemscmos::gen::SramArrayGen;
+use nemscmos::sram::SramKind;
 use nemscmos::tech::Technology;
 use nemscmos_harness::Json;
 use nemscmos_spice::analysis::tran::{transient, TranOptions};
@@ -28,20 +30,25 @@ const BAND_V: f64 = 1e-3;
 /// The sample grid and each probe's waveform on it, in probe order.
 type Snapshot = (Vec<f64>, Vec<(String, Vec<f64>)>);
 
-fn snapshot_path() -> PathBuf {
-    golden::golden_dir().join("banded").join("sram-16x16.json")
+fn snapshot_path(deck: &str) -> PathBuf {
+    golden::golden_dir()
+        .join("banded")
+        .join(format!("{deck}.json"))
 }
 
-/// Runs the array's default-profile transient and samples its probes.
-fn simulate() -> Snapshot {
-    let mut deck = SramArrayGen::new(16, 16).build(&Technology::n90());
+/// Runs the 16×16 array's default-profile transient and samples its
+/// probes. Returns the deck name with the samples.
+fn simulate(kind: SramKind) -> (String, Snapshot) {
+    let mut deck = SramArrayGen::new(16, 16)
+        .with_kind(kind)
+        .build(&Technology::n90());
     assert_eq!(deck.circuit.num_unknowns(), 602);
     let opts = TranOptions {
         dt_max: Some(deck.dt_max),
         ..Default::default()
     };
     let (res, spent) = stats::measure(|| transient(&mut deck.circuit, deck.tstop, &opts));
-    let res = res.expect("sram-16x16 transient");
+    let res = res.unwrap_or_else(|e| panic!("{} transient: {e}", deck.name));
     assert!(
         spent.ordering_ns > 0,
         "the ordered path never ran: {spent:?}"
@@ -57,13 +64,13 @@ fn simulate() -> Snapshot {
             (name.clone(), grid.iter().map(|&t| tr.eval(t)).collect())
         })
         .collect();
-    (grid, probes)
+    (deck.name, (grid, probes))
 }
 
-fn render((grid, probes): &Snapshot) -> String {
+fn render(deck: &str, (grid, probes): &Snapshot) -> String {
     let nums = |xs: &[f64]| Json::Arr(xs.iter().map(|&x| Json::Num(x)).collect());
     let mut fields = vec![
-        ("deck".to_string(), Json::Str("sram-16x16".into())),
+        ("deck".to_string(), Json::Str(deck.into())),
         ("times".to_string(), nums(grid)),
     ];
     fields.extend(
@@ -97,16 +104,17 @@ fn parse(text: &str) -> Snapshot {
     (grid, probes)
 }
 
-#[test]
-fn sram_16x16_stays_within_a_millivolt_of_its_snapshot() {
-    let got = simulate();
+/// Checks the array of `kind` against its snapshot, or rewrites the
+/// snapshot under `NEMSCMOS_BLESS=1`.
+fn check(kind: SramKind) {
+    let (deck, got) = simulate(kind);
     if std::env::var("NEMSCMOS_BLESS").is_ok_and(|v| v == "1") {
-        let path = snapshot_path();
+        let path = snapshot_path(&deck);
         fs::create_dir_all(path.parent().unwrap()).unwrap();
-        fs::write(&path, render(&got)).unwrap();
+        fs::write(&path, render(&deck, &got)).unwrap();
         return;
     }
-    let text = fs::read_to_string(snapshot_path()).expect("committed banded snapshot");
+    let text = fs::read_to_string(snapshot_path(&deck)).expect("committed banded snapshot");
     let (grid, reference) = parse(&text);
     assert_eq!(got.0, grid, "sample grid changed");
     let names = |p: &[(String, Vec<f64>)]| p.iter().map(|(n, _)| n.clone()).collect::<Vec<_>>();
@@ -114,6 +122,16 @@ fn sram_16x16_stays_within_a_millivolt_of_its_snapshot() {
     assert!(!reference.is_empty(), "snapshot holds no probes");
     for ((name, vs), (_, want)) in got.1.iter().zip(&reference) {
         compare::series(name, &grid, vs, want, Tolerance::abs(BAND_V))
-            .unwrap_or_else(|d| panic!("sram-16x16: {d}"));
+            .unwrap_or_else(|d| panic!("{deck}: {d}"));
     }
+}
+
+#[test]
+fn sram_16x16_stays_within_a_millivolt_of_its_snapshot() {
+    check(SramKind::Conventional);
+}
+
+#[test]
+fn sram_16x16_hybrid_stays_within_a_millivolt_of_its_snapshot() {
+    check(SramKind::Hybrid);
 }
